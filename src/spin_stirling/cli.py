@@ -30,13 +30,7 @@ import numpy as np
 
 from .constants import KB_EV_PER_K
 from .core import Coupling
-from .cycle import (
-    CycleSpec,
-    OperationMode,
-    assemble_ledger,
-    carnot_efficiency,
-    classify_mode,
-)
+from .cycle import CycleSpec, OperationMode, _evaluate_cycles, carnot_efficiency
 from .errors import (
     DataFormatError,
     InvariantViolation,
@@ -62,15 +56,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 
-_MODE_COUNT_ORDER = (
-    OperationMode.HEAT_ENGINE,
-    OperationMode.REFRIGERATOR,
-    OperationMode.ACCELERATOR,
-    OperationMode.HEATER,
-    OperationMode.CARNOT_DEGENERATE,
-    OperationMode.FORBIDDEN,
-)
-
 
 def schema_text(name: str) -> str:
     """Return the shipped JSON schema for ``name``.
@@ -87,12 +72,21 @@ def schema_text(name: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Param:
-    """One resolvable CLI parameter: flag, config key, type, default."""
+    """One resolvable CLI parameter: flag, config key, type, default.
+
+    A ``_parse_bool`` parameter is a ``store_true`` flag on the command
+    line and a parsed boolean in the config file.
+    """
 
     name: str
     kind: Callable[[str], Any]
     default: Any = None
     required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
 def _parse_bool(text: str) -> bool:
@@ -105,33 +99,37 @@ def _parse_bool(text: str) -> bool:
 
 
 _CYCLE_PARAMS = (
-    _Param("ja_k", float, required=True),
-    _Param("jb_k", float, required=True),
-    _Param("th", float, required=True),
-    _Param("tc", float, required=True),
-    _Param("json", _parse_bool, default=False),
+    _Param("ja_k", float, required=True, help="J_A/k_B in K"),
+    _Param("jb_k", float, required=True, help="J_B/k_B in K"),
+    _Param("th", float, required=True, help="hot bath temperature in K"),
+    _Param("tc", float, required=True, help="cold bath temperature in K"),
+    _Param("json", _parse_bool, default=False, help="emit a JSON report"),
 )
 
 _SWEEP_PARAMS = (
-    _Param("branch", str, default="b-negative"),
-    _Param("jb_k", float, default=None),
-    _Param("tc", float, default=20.0),
+    _Param(
+        "branch", str, default="b-negative", help="b-negative (default) or b-positive"
+    ),
+    _Param("jb_k", float, default=None, help="anchor J_B/k_B in K"),
+    _Param("tc", float, default=20.0, help="anchor cold temperature in K"),
     _Param("ratio_min", float, default=-3.0),
     _Param("ratio_max", float, default=3.0),
     _Param("ratio_steps", int, default=400),
     _Param("tr_min", float, default=1.005),
     _Param("tr_max", float, default=3.0),
     _Param("tr_steps", int, default=400),
-    _Param("format", str, default="csv"),
-    _Param("out", str, required=True),
+    _Param("format", str, default="csv", help="csv (default) or json"),
+    _Param("out", str, required=True, help="output file path"),
 )
 
 _FIT_PARAMS = (
-    _Param("data", str, required=True),
-    _Param("fix_g", float, default=None),
-    _Param("free_g", _parse_bool, default=False),
-    _Param("g_init", float, default=None),
-    _Param("out", str, default=None),
+    _Param("data", str, required=True, help="input CSV path"),
+    _Param("fix_g", float, default=None, help="fit J with g fixed"),
+    _Param("free_g", _parse_bool, default=False, help="fit J and g together"),
+    _Param("g_init", float, default=None, help="starting g for --free-g"),
+    _Param(
+        "out", str, default=None, help="write the JSON report here instead of stdout"
+    ),
 )
 
 _CURVE_PARAMS = (
@@ -141,14 +139,18 @@ _CURVE_PARAMS = (
     _Param("th_min", float, required=True),
     _Param("th_max", float, required=True),
     _Param("steps", int, required=True),
-    _Param("out", str, required=True),
+    _Param("out", str, required=True, help="output CSV path"),
 )
 
-_COMMAND_PARAMS = {
-    "cycle": _CYCLE_PARAMS,
-    "sweep": _SWEEP_PARAMS,
-    "fit": _FIT_PARAMS,
-    "engine-curve": _CURVE_PARAMS,
+#: Subcommand name -> (help line, parameters).
+_COMMANDS = {
+    "cycle": ("evaluate one Stirling cycle", _CYCLE_PARAMS),
+    "sweep": ("write a mode map over the ratio plane", _SWEEP_PARAMS),
+    "fit": ("fit a susceptibility CSV", _FIT_PARAMS),
+    "engine-curve": (
+        "tabulate the cycle against the hot-bath temperature",
+        _CURVE_PARAMS,
+    ),
 }
 
 
@@ -173,7 +175,7 @@ def _resolve_params(ns: argparse.Namespace, command: str) -> dict[str, Any]:
     section, command-line flag.  Unknown config keys are rejected so a
     typo cannot silently fall back to a default.
     """
-    params = _COMMAND_PARAMS[command]
+    _, params = _COMMANDS[command]
     by_name = {p.name: p for p in params}
     resolved: dict[str, Any] = {p.name: p.default for p in params}
 
@@ -195,14 +197,13 @@ def _resolve_params(ns: argparse.Namespace, command: str) -> dict[str, Any]:
                 ) from exc
 
     for param in params:
-        flag_value = getattr(ns, param.name, None)
-        if flag_value is not None and flag_value is not False:
+        flag_value = getattr(ns, param.name)
+        if flag_value is not None:
             resolved[param.name] = flag_value
 
     for param in params:
         if param.required and resolved[param.name] is None:
-            flag = "--" + param.name.replace("_", "-")
-            raise ValidationError(f"missing required parameter {flag}")
+            raise ValidationError(f"missing required parameter {param.flag}")
     return resolved
 
 
@@ -218,9 +219,9 @@ def _cmd_cycle(ns: argparse.Namespace) -> int:
         t_hot=resolved["th"],
         t_cold=resolved["tc"],
     )
-    ledger = assemble_ledger(spec)
-    mode = classify_mode(ledger)
-    eta = ledger.work / ledger.q_in if mode is OperationMode.HEAT_ENGINE else None
+    ledger, mode, eta = _evaluate_cycles(
+        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+    ).at(())
     eta_carnot = carnot_efficiency(spec.t_hot, spec.t_cold)
 
     ledger_fields = ("q_ab", "q_bc", "q_cd", "q_da", "work", "q_in", "q_out")
@@ -283,13 +284,13 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     cells = sweep(grid)
     export_to_path(cells, resolved["out"], format=resolved["format"])
 
-    counts = {mode: 0 for mode in _MODE_COUNT_ORDER}
+    counts = {mode: 0 for mode in OperationMode}
     for cell in cells:
         counts[cell.mode] += 1
     for line in _echo_lines(resolved):
         print(line)
     print(f"cells {len(cells)}")
-    for mode in _MODE_COUNT_ORDER:
+    for mode in OperationMode:
         print(f"{mode.token} {counts[mode]}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK
@@ -382,65 +383,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cycle_p = sub.add_parser("cycle", help="evaluate one Stirling cycle")
-    cycle_p.add_argument("--ja-k", dest="ja_k", type=float, help="J_A/k_B in K")
-    cycle_p.add_argument("--jb-k", dest="jb_k", type=float, help="J_B/k_B in K")
-    cycle_p.add_argument("--th", type=float, help="hot bath temperature in K")
-    cycle_p.add_argument("--tc", type=float, help="cold bath temperature in K")
-    cycle_p.add_argument(
-        "--json", action="store_true", default=None, help="emit a JSON report"
-    )
-    cycle_p.set_defaults(handler=_cmd_cycle)
-
-    sweep_p = sub.add_parser("sweep", help="write a mode map over the ratio plane")
-    sweep_p.add_argument("--branch", help="b-negative (default) or b-positive")
-    sweep_p.add_argument(
-        "--jb-k", dest="jb_k", type=float, help="anchor J_B/k_B in K"
-    )
-    sweep_p.add_argument("--tc", type=float, help="anchor cold temperature in K")
-    sweep_p.add_argument("--ratio-min", dest="ratio_min", type=float)
-    sweep_p.add_argument("--ratio-max", dest="ratio_max", type=float)
-    sweep_p.add_argument("--ratio-steps", dest="ratio_steps", type=int)
-    sweep_p.add_argument("--tr-min", dest="tr_min", type=float)
-    sweep_p.add_argument("--tr-max", dest="tr_max", type=float)
-    sweep_p.add_argument("--tr-steps", dest="tr_steps", type=int)
-    sweep_p.add_argument("--format", help="csv (default) or json")
-    sweep_p.add_argument("--out", help="output file path")
-    sweep_p.set_defaults(handler=_cmd_sweep)
-
-    fit_p = sub.add_parser("fit", help="fit a susceptibility CSV")
-    fit_p.add_argument("--data", help="input CSV path")
-    fit_p.add_argument("--fix-g", dest="fix_g", type=float, help="fit J with g fixed")
-    fit_p.add_argument(
-        "--free-g",
-        dest="free_g",
-        action="store_true",
-        default=None,
-        help="fit J and g together",
-    )
-    fit_p.add_argument(
-        "--g-init", dest="g_init", type=float, help="starting g for --free-g"
-    )
-    fit_p.add_argument("--out", help="write the JSON report here instead of stdout")
-    fit_p.set_defaults(handler=_cmd_fit)
-
-    curve_p = sub.add_parser(
-        "engine-curve", help="tabulate the cycle against the hot-bath temperature"
-    )
-    curve_p.add_argument("--ja-k", dest="ja_k", type=float)
-    curve_p.add_argument("--jb-k", dest="jb_k", type=float)
-    curve_p.add_argument("--tc", type=float)
-    curve_p.add_argument("--th-min", dest="th_min", type=float)
-    curve_p.add_argument("--th-max", dest="th_max", type=float)
-    curve_p.add_argument("--steps", type=int)
-    curve_p.add_argument("--out", help="output CSV path")
-    curve_p.set_defaults(handler=_cmd_engine_curve)
-
-    for sub_parser in (cycle_p, sweep_p, fit_p, curve_p):
+    handlers = {
+        "cycle": _cmd_cycle,
+        "sweep": _cmd_sweep,
+        "fit": _cmd_fit,
+        "engine-curve": _cmd_engine_curve,
+    }
+    for command, (summary, params) in _COMMANDS.items():
+        sub_parser = sub.add_parser(command, help=summary)
+        for param in params:
+            if param.kind is _parse_bool:
+                sub_parser.add_argument(
+                    param.flag,
+                    dest=param.name,
+                    action="store_true",
+                    default=None,
+                    help=param.help,
+                )
+            else:
+                sub_parser.add_argument(
+                    param.flag, dest=param.name, type=param.kind, help=param.help
+                )
         sub_parser.add_argument(
             "--config", help="INI config file with a section per subcommand"
         )
+        sub_parser.set_defaults(handler=handlers[command])
     return parser
 
 

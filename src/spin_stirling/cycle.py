@@ -19,7 +19,12 @@ Classification into operational modes follows the second-law-allowed
 sign patterns of (W, Q_in, Q_out), with a tolerance band around the
 all-zero Carnot degeneracy.  Any other sign pattern is reported as
 ``FORBIDDEN``, which flags a bug or an out-of-domain input rather than
-a physical operating regime.
+a physical operating regime.  A heat-engine sign pattern whose
+efficiency escapes the Carnot interval can only be unresolved roundoff
+and is classified as an accelerator.
+
+Single cycles, engine curves and mode maps all go through one batched
+evaluator, :func:`_evaluate`, so they share these checks and rules.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ import dataclasses
 import enum
 import math
 import warnings
+from typing import NamedTuple
+
+import numpy as np
 
 from . import _kernels
 from .core import Coupling, ThermalPoint
@@ -204,12 +212,14 @@ def total_work(spec: CycleSpec) -> float:
     )
 
 
-def _stroke_scale(q_ab: float, q_bc: float, q_cd: float, q_da: float) -> float:
-    return max(abs(q_ab), abs(q_bc), abs(q_cd), abs(q_da))
+def _stroke_scale(q_ab, q_bc, q_cd, q_da):
+    return np.maximum(
+        np.maximum(np.abs(q_ab), np.abs(q_bc)), np.maximum(np.abs(q_cd), np.abs(q_da))
+    )
 
 
-def _roundoff_floor(spec: CycleSpec) -> float:
-    """Absolute roundoff scale of the stroke-heat arithmetic.
+def _roundoff_floor(j_a, j_b, t_hot, t_cold):
+    """Absolute roundoff scale of the stroke-heat arithmetic, elementwise.
 
     Every stroke heat is a difference of state-function terms bounded by
     ``T ln 4`` (entropy side) or ``3|J|/4`` (energy side).  In a deeply
@@ -218,10 +228,15 @@ def _roundoff_floor(spec: CycleSpec) -> float:
     the terms, not the results.  Consistency checks must not demand more
     than a modest multiple of machine epsilon times that term magnitude.
     """
-    operand_sum = 2.0 * math.log(4.0) * (spec.t_hot + spec.t_cold) + 1.5 * (
-        abs(spec.j_a.j_over_kb) + abs(spec.j_b.j_over_kb)
+    operand_sum = 2.0 * math.log(4.0) * (t_hot + t_cold) + 1.5 * (
+        np.abs(j_a) + np.abs(j_b)
     )
     return 32.0 * math.ulp(1.0) * operand_sum
+
+
+def _carnot_band(scale):
+    """Default Carnot-band half-width for the largest stroke magnitude."""
+    return MODE_TOLERANCE_RTOL * np.maximum(scale, MODE_TOLERANCE_FLOOR)
 
 
 def default_classification_tolerance(ledger: StrokeLedger) -> float:
@@ -233,7 +248,141 @@ def default_classification_tolerance(ledger: StrokeLedger) -> float:
     sign patterns.
     """
     scale = _stroke_scale(ledger.q_ab, ledger.q_bc, ledger.q_cd, ledger.q_da)
-    return MODE_TOLERANCE_RTOL * max(scale, MODE_TOLERANCE_FLOOR)
+    return float(_carnot_band(scale))
+
+
+#: Mode codes of the batched evaluator index this tuple.
+_MODES = tuple(OperationMode)
+_ENGINE, _FRIDGE, _ACCEL, _HEATER, _CARNOT, _FORBIDDEN = range(len(_MODES))
+
+#: Mode code by sign pattern, indexed by 4 (W > 0) + 2 (Q_in > 0) + (Q_out > 0):
+#: (-, -, -) heater, (-, -, +) refrigerator, (-, +, -) accelerator,
+#: (+, +, -) heat engine; every other pattern is forbidden.
+_SIGN_TABLE = np.full(8, _FORBIDDEN, dtype=np.int8)
+_SIGN_TABLE[[0b000, 0b001, 0b010, 0b110]] = (_HEATER, _FRIDGE, _ACCEL, _ENGINE)
+
+
+def _classify(work, q_in, q_out, tolerance):
+    """Elementwise mode codes from the sign table and the Carnot band."""
+    codes = _SIGN_TABLE[4 * (work > 0.0) + 2 * (q_in > 0.0) + (q_out > 0.0)]
+    carnot = (
+        (np.abs(work) <= tolerance)
+        & (np.abs(q_in) <= tolerance)
+        & (np.abs(q_out) <= tolerance)
+    )
+    return np.where(carnot, np.int8(_CARNOT), codes)
+
+
+class _Evaluation(NamedTuple):
+    """Cycles evaluated by :func:`_evaluate`, one array per quantity."""
+
+    q_ab: np.ndarray
+    q_bc: np.ndarray
+    q_cd: np.ndarray
+    q_da: np.ndarray
+    work: np.ndarray
+    q_in: np.ndarray
+    q_out: np.ndarray
+    code: np.ndarray  # int8 index into _MODES
+    eta: np.ndarray  # W / Q_in in heat-engine operation, NaN elsewhere
+
+    def at(self, k) -> tuple[StrokeLedger, OperationMode, float | None]:
+        """Ledger, mode and efficiency (None outside heat-engine
+        operation) of element ``k``."""
+        code = int(self.code[k])
+        eta = float(self.eta[k]) if code == _ENGINE else None
+        # The first seven fields are StrokeLedger's, in its order.
+        ledger = StrokeLedger(*(float(column[k]) for column in self[:7]))
+        return ledger, _MODES[code], eta
+
+
+def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
+    """Evaluate, check and classify Stirling cycles elementwise.
+
+    The four inputs broadcast against each other; every field of the
+    result has the broadcast shape.  The ``work`` field carries the
+    independent closed-form value, and the first-law closure against the
+    sum of the stroke heats is verified to 1e-10 relative (floored at the
+    roundoff scale of the summed state functions, see
+    :func:`_roundoff_floor`) together with the isochoric sign laws; a
+    failure raises :class:`InvariantViolation`, since the two routes are
+    algebraically identical and can only diverge through a bug.
+    Comparisons with NaN are false, so NaN inputs (the sweep's cells
+    beyond the coupling cap) yield NaN cells that the checks pass over.
+
+    Modes follow :func:`classify_mode` with its default Carnot band.  A
+    cycle showing the heat-engine sign pattern whose ``eta / eta_carnot``
+    escapes (0, 1) contradicts the Carnot theorem, which holds
+    analytically for every resolvable cycle; it can only mean the net
+    work is below the roundoff floor at this conditioning.  Such a cycle
+    is demoted to the (0, +, -) accelerator convention that an exactly
+    zero-width stroke produces, and carries no efficiency.
+
+    ``eta_carnot`` defaults to ``1 - t_cold / t_hot``; the sweep passes
+    its own ``1 - 1 / temp_ratio`` so that the demotion test and its
+    exported relative efficiency are the same quotient.
+    """
+    q_ab, q_bc, q_cd, q_da = _kernels.stroke_heats(j_a, j_b, t_hot, t_cold)
+    work = _kernels.net_work(j_a, j_b, t_hot, t_cold)
+    # The stroke formulas broadcast to different shapes (an isochoric
+    # heat at fixed j_b does not depend on j_a); equalize them.
+    q_ab, q_bc, q_cd, q_da, work = np.broadcast_arrays(q_ab, q_bc, q_cd, q_da, work)
+    shape = work.shape
+    q_in = q_ab + q_da
+    q_out = q_bc + q_cd
+
+    scale = _stroke_scale(q_ab, q_bc, q_cd, q_da)
+    floor = _roundoff_floor(j_a, j_b, t_hot, t_cold)
+    stroke_sum = q_ab + q_bc + q_cd + q_da
+    broken = np.abs(work - stroke_sum) > np.maximum(
+        FIRST_LAW_RTOL * np.maximum(scale, np.abs(work)), floor
+    )
+    if broken.any():
+        k = np.unravel_index(np.argmax(broken), shape)
+        raise InvariantViolation(
+            f"first-law closure violated: independent work {float(work[k])!r} vs "
+            f"stroke sum {float(stroke_sum[k])!r}"
+        )
+    band = _carnot_band(scale)
+    sign_slack = np.maximum(band, floor)
+    broken = (q_bc > sign_slack) | (q_da < -sign_slack)
+    if broken.any():
+        k = np.unravel_index(np.argmax(broken), shape)
+        raise InvariantViolation(
+            f"isochoric sign law violated: q_bc={float(q_bc[k])!r} (expected <= 0), "
+            f"q_da={float(q_da[k])!r} (expected >= 0)"
+        )
+
+    code = _classify(work, q_in, q_out, band)
+    if eta_carnot is None:
+        eta_carnot = 1.0 - np.divide(t_cold, t_hot)
+    engine = code == _ENGINE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(engine, work / q_in, np.nan)
+        eta_ratio = eta / eta_carnot
+    unresolved = engine & ~((eta_ratio > 0.0) & (eta_ratio < 1.0))
+    code = np.where(unresolved, np.int8(_ACCEL), code)
+    eta = np.where(unresolved, np.nan, eta)
+    return _Evaluation(q_ab, q_bc, q_cd, q_da, work, q_in, q_out, code, eta)
+
+
+def _evaluate_cycles(j_a, j_b, t_hot, t_cold) -> _Evaluation:
+    """:func:`_evaluate` for cycles that :class:`CycleSpec` has validated.
+
+    Emits one :class:`CurieRegimeWarning` when any cycle endpoint has
+    ``T > |J|/k_B``, where the dimer model leaves the exchange-dominated
+    regime it is meant to describe.
+    """
+    # A valid cycle has t_hot > t_cold, so the hot bath against the
+    # weaker coupling decides whether any of its four endpoints is warm.
+    if np.any(np.greater(t_hot, np.minimum(np.abs(j_a), np.abs(j_b)))):
+        warnings.warn(
+            "cycle endpoint enters the Curie paramagnetic regime "
+            "(T > |J|/k_B); the dimer description degrades there",
+            CurieRegimeWarning,
+            stacklevel=3,
+        )
+    return _evaluate(j_a, j_b, t_hot, t_cold)
 
 
 def assemble_ledger(spec: CycleSpec) -> StrokeLedger:
@@ -251,46 +400,9 @@ def assemble_ledger(spec: CycleSpec) -> StrokeLedger:
     endpoints has ``T > |J|/k_B``, where the dimer model leaves the
     exchange-dominated regime it is meant to describe.
     """
-    q_ab = heat_isothermal_expansion(spec)
-    q_bc = heat_isochoric_cooling(spec)
-    q_cd = heat_isothermal_compression(spec)
-    q_da = heat_isochoric_heating(spec)
-    work = total_work(spec)
-
-    scale = _stroke_scale(q_ab, q_bc, q_cd, q_da)
-    floor = _roundoff_floor(spec)
-    closure = abs(work - (q_ab + q_bc + q_cd + q_da))
-    if closure > max(FIRST_LAW_RTOL * max(scale, abs(work)), floor):
-        raise InvariantViolation(
-            f"first-law closure violated: independent work {work!r} vs "
-            f"stroke sum {q_ab + q_bc + q_cd + q_da!r}"
-        )
-    sign_slack = max(MODE_TOLERANCE_RTOL * max(scale, MODE_TOLERANCE_FLOOR), floor)
-    if q_bc > sign_slack or q_da < -sign_slack:
-        raise InvariantViolation(
-            f"isochoric sign law violated: q_bc={q_bc!r} (expected <= 0), "
-            f"q_da={q_da!r} (expected >= 0)"
-        )
-
-    if any(
-        point.temperature > abs(point.j_over_kb) for point in spec.endpoints()
-    ):
-        warnings.warn(
-            "cycle endpoint enters the Curie paramagnetic regime "
-            "(T > |J|/k_B); the dimer description degrades there",
-            CurieRegimeWarning,
-            stacklevel=2,
-        )
-
-    return StrokeLedger(
-        q_ab=q_ab,
-        q_bc=q_bc,
-        q_cd=q_cd,
-        q_da=q_da,
-        work=work,
-        q_in=q_ab + q_da,
-        q_out=q_bc + q_cd,
-    )
+    return _evaluate_cycles(
+        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+    ).at(())[0]
 
 
 def classify_mode(
@@ -327,21 +439,7 @@ def classify_mode(
         tolerance = default_classification_tolerance(ledger)
     elif not (isinstance(tolerance, (int, float)) and tolerance >= 0.0):
         raise ValidationError(f"tolerance must be >= 0, got {tolerance!r}")
-
-    w, q_in, q_out = ledger.work, ledger.q_in, ledger.q_out
-    if abs(w) <= tolerance and abs(q_in) <= tolerance and abs(q_out) <= tolerance:
-        return OperationMode.CARNOT_DEGENERATE
-
-    pattern = (w > 0.0, q_in > 0.0, q_out > 0.0)
-    if pattern == (True, True, False):
-        return OperationMode.HEAT_ENGINE
-    if pattern == (False, False, True):
-        return OperationMode.REFRIGERATOR
-    if pattern == (False, True, False):
-        return OperationMode.ACCELERATOR
-    if pattern == (False, False, False):
-        return OperationMode.HEATER
-    return OperationMode.FORBIDDEN
+    return _MODES[int(_classify(ledger.work, ledger.q_in, ledger.q_out, tolerance))]
 
 
 def efficiency(spec: CycleSpec) -> float:
@@ -349,21 +447,17 @@ def efficiency(spec: CycleSpec) -> float:
 
     Only defined in heat-engine operation; any other classification
     raises :class:`ModeError` because the ratio stops being a
-    performance indicator once the work changes sign.  The result is
-    strictly below the Carnot bound for every valid spec, and that bound
-    is enforced as an internal invariant.
+    performance indicator once the work changes sign.  The result lies
+    strictly between 0 and the Carnot bound: an engine sign pattern
+    whose efficiency escapes that interval is unresolved roundoff, and
+    every evaluation path classifies it as an accelerator.
     """
-    ledger = assemble_ledger(spec)
-    mode = classify_mode(ledger)
-    if mode is not OperationMode.HEAT_ENGINE:
+    _, mode, eta = _evaluate_cycles(
+        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+    ).at(())
+    if eta is None:
         raise ModeError(
             f"efficiency requires heat-engine operation, cycle is {mode.token!r}"
-        )
-    eta = ledger.work / ledger.q_in
-    eta_c = carnot_efficiency(spec.t_hot, spec.t_cold)
-    if not 0.0 < eta < eta_c:
-        raise InvariantViolation(
-            f"efficiency {eta!r} escaped the open interval (0, eta_C={eta_c!r})"
         )
     return eta
 

@@ -40,9 +40,8 @@ from .cycle import (
     CycleSpec,
     OperationMode,
     StrokeLedger,
-    assemble_ledger,
+    _evaluate_cycles,
     carnot_efficiency,
-    classify_mode,
 )
 from .errors import DataFormatError, ValidationError
 
@@ -531,23 +530,22 @@ def engine_curve(
 ) -> list[EngineCurvePoint]:
     """Evaluate the cycle across a hot-bath temperature axis.
 
-    Every axis value must exceed ``t_cold``.  Points outside heat-engine
-    operation carry their mode flag and a None efficiency instead of a
-    number, so callers never divide by a heat that changed sign.
+    Every axis value must exceed ``t_cold``.  The whole axis is
+    evaluated in one batched call with the same checks and mode rules as
+    :func:`spin_stirling.cycle.assemble_ledger`.  Points outside
+    heat-engine operation carry their mode flag and a None efficiency
+    instead of a number, so callers never divide by a heat that changed
+    sign.
     """
     axis = [float(t) for t in t_hot_axis]
     if not axis:
         raise ValidationError("t_hot_axis must be non-empty")
+    for t_hot in axis:  # the spec validates each point
+        CycleSpec(j_a=j_a, j_b=j_b, t_hot=t_hot, t_cold=t_cold)
+    cycles = _evaluate_cycles(j_a.j_over_kb, j_b.j_over_kb, np.array(axis), t_cold)
     points: list[EngineCurvePoint] = []
-    for t_hot in axis:
-        spec = CycleSpec(j_a=j_a, j_b=j_b, t_hot=t_hot, t_cold=t_cold)
-        ledger = assemble_ledger(spec)
-        mode = classify_mode(ledger)
-        eta = (
-            ledger.work / ledger.q_in
-            if mode is OperationMode.HEAT_ENGINE
-            else None
-        )
+    for k, t_hot in enumerate(axis):
+        ledger, mode, eta = cycles.at(k)
         points.append(
             EngineCurvePoint(
                 t_hot=t_hot,

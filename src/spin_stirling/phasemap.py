@@ -18,30 +18,25 @@ coupling would exceed the anchor's magnitude cap are flagged: their
 energies are NaN and their mode is ``FORBIDDEN``, and the sweep
 continues.
 
-Sweeps are deterministic and embarrassingly parallel.  The environment
-variable ``SPIN_STIRLING_THREADS`` caps the worker count (0 or unset
-means automatic); results are bit-identical for every worker count
-because each cell's arithmetic is independent of the chunking.
+Cells go through the same evaluator as single cycles
+(:func:`spin_stirling.cycle._evaluate`), so every unflagged cell passes
+the first-law closure and isochoric sign checks and is classified by the
+one sign table, including the demotion of unresolved heat-engine cells
+to accelerators.  Sweeps are serial and deterministic.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import enum
 import json
 import math
-import os
 
 import numpy as np
 
 from . import _kernels
 from .core import Coupling
-from .cycle import (
-    MODE_TOLERANCE_FLOOR,
-    MODE_TOLERANCE_RTOL,
-    OperationMode,
-)
+from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
 from .errors import ValidationError
 
 __all__ = [
@@ -54,10 +49,7 @@ __all__ = [
     "export",
     "export_to_path",
     "read_cells",
-    "resolve_thread_count",
 ]
-
-THREADS_ENV_VAR = "SPIN_STIRLING_THREADS"
 
 _EXPORT_COLUMNS = (
     "coupling_ratio",
@@ -206,115 +198,27 @@ class ModeCell:
             )
 
 
-_CODE_TO_MODE = (
-    OperationMode.HEAT_ENGINE,
-    OperationMode.REFRIGERATOR,
-    OperationMode.ACCELERATOR,
-    OperationMode.HEATER,
-    OperationMode.CARNOT_DEGENERATE,
-    OperationMode.FORBIDDEN,
-)
-_ENGINE, _FRIDGE, _ACCEL, _HEATER, _CARNOT, _FORBIDDEN = range(6)
-
-
-def resolve_thread_count(cell_count: int) -> int:
-    """Worker count for a sweep of ``cell_count`` cells.
-
-    Reads ``SPIN_STIRLING_THREADS``; 0 or unset selects an automatic
-    count (CPU-bound, capped at 8), any positive integer is honored as a
-    hard cap.  Tiny grids always run serially.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        requested = int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if requested < 0:
-        raise ValidationError(
-            f"{THREADS_ENV_VAR} must be >= 0, got {requested}"
-        )
-    auto = min(os.cpu_count() or 1, 8)
-    workers = auto if requested == 0 else requested
-    if cell_count < 4096:
-        return 1
-    return max(1, min(workers, cell_count))
-
-
-def _evaluate_rows(
-    grid: SweepGrid, row_slice: slice
-) -> tuple[np.ndarray, ...]:
-    """Vectorized evaluation of a block of temperature-ratio rows.
+def _evaluate_grid(grid: SweepGrid) -> tuple[np.ndarray, ...]:
+    """Vectorized evaluation of every grid cell.
 
     Returns (work, q_in, q_out, mode codes, eta_over_carnot) with shape
-    (rows, len(coupling_ratio_axis)).  The arithmetic for each cell is
-    independent of the block boundaries, which is what guarantees
-    parallel/serial bit-equality.
+    (len(temp_ratio_axis), len(coupling_ratio_axis)).
     """
     ratios = np.asarray(grid.coupling_ratio_axis, dtype=float)
-    temp_ratios = np.asarray(grid.temp_ratio_axis[row_slice], dtype=float)
+    temp_ratios = np.asarray(grid.temp_ratio_axis, dtype=float)[:, np.newaxis]
     j_b = grid.anchor.j_b.j_over_kb
     t_cold = grid.anchor.t_cold
 
-    j_a = (ratios * j_b)[np.newaxis, :]
-    t_hot = (temp_ratios * t_cold)[:, np.newaxis]
-
-    q_ab, q_bc, q_cd, q_da = _kernels.stroke_heats(j_a, j_b, t_hot, t_cold)
-    work = _kernels.net_work(j_a, j_b, t_hot, t_cold)
-    # The stroke formulas broadcast to different shapes (an isochoric
-    # heat at fixed j_b does not depend on the coupling ratio); equalize
-    # before the elementwise classification below.
-    shape = (len(temp_ratios), len(ratios))
-    q_ab, q_bc, q_cd, q_da, work = (
-        np.broadcast_to(a, shape) for a in (q_ab, q_bc, q_cd, q_da, work)
-    )
-    q_in = q_ab + q_da
-    q_out = q_bc + q_cd
-
-    scale = np.maximum.reduce(
-        [np.abs(q_ab), np.abs(q_bc), np.abs(q_cd), np.abs(q_da)]
-    )
-    tol = MODE_TOLERANCE_RTOL * np.maximum(scale, MODE_TOLERANCE_FLOOR)
-
-    w_pos = work > 0.0
-    in_pos = q_in > 0.0
-    out_pos = q_out > 0.0
-
-    codes = np.full(work.shape, _FORBIDDEN, dtype=np.int8)
-    codes[w_pos & in_pos & ~out_pos] = _ENGINE
-    codes[~w_pos & ~in_pos & out_pos] = _FRIDGE
-    codes[~w_pos & in_pos & ~out_pos] = _ACCEL
-    codes[~w_pos & ~in_pos & ~out_pos] = _HEATER
-    carnot = (
-        (np.abs(work) <= tol) & (np.abs(q_in) <= tol) & (np.abs(q_out) <= tol)
-    )
-    codes[carnot] = _CARNOT
-
+    j_a = ratios * j_b
     flagged = np.abs(j_a) > grid.anchor.j_b.cap
-    flagged = np.broadcast_to(flagged, work.shape)
-    if flagged.any():
-        work = np.where(flagged, np.nan, work)
-        q_in = np.where(flagged, np.nan, q_in)
-        q_out = np.where(flagged, np.nan, q_out)
-        codes = np.where(flagged, np.int8(_FORBIDDEN), codes)
-
-    eta_carnot = 1.0 - 1.0 / (temp_ratios[:, np.newaxis])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_ratio = np.where(
-            codes == _ENGINE, work / q_in / eta_carnot, np.nan
-        )
-    # An engine cell whose relative efficiency escapes (0, 1) contradicts
-    # the Carnot theorem, which holds analytically for every resolvable
-    # cycle; it can only mean the net work is below the roundoff floor at
-    # this cell's conditioning.  Treat that work as an unresolved zero
-    # and fall back to the (0, +, -) boundary convention, matching what
-    # an exactly zero-width stroke produces.
-    boundary = (codes == _ENGINE) & ~((eta_ratio > 0.0) & (eta_ratio < 1.0))
-    if boundary.any():
-        codes = np.where(boundary, np.int8(_ACCEL), codes)
-        eta_ratio = np.where(boundary, np.nan, eta_ratio)
-    return work, q_in, q_out, codes, eta_ratio
+    eta_carnot = 1.0 - 1.0 / temp_ratios
+    # Flagged couplings enter as NaN: their energies come out NaN, which
+    # the evaluator's checks pass over, and their mode is overridden.
+    cells = _evaluate(
+        np.where(flagged, np.nan, j_a), j_b, temp_ratios * t_cold, t_cold, eta_carnot
+    )
+    codes = np.where(flagged, np.int8(_FORBIDDEN), cells.code)
+    return cells.work, cells.q_in, cells.q_out, codes, cells.eta / eta_carnot
 
 
 def sweep(grid: SweepGrid) -> list[ModeCell]:
@@ -323,28 +227,9 @@ def sweep(grid: SweepGrid) -> list[ModeCell]:
     Cells are returned in row-major order with the temperature ratio as
     the outer index: cell ``k`` has ``temp_ratio_axis[k // n_r]`` and
     ``coupling_ratio_axis[k % n_r]``.  Two sweeps of the same grid are
-    bit-identical, regardless of the worker count.
+    bit-identical.
     """
-    n_rows = len(grid.temp_ratio_axis)
-    n_cols = len(grid.coupling_ratio_axis)
-    workers = resolve_thread_count(n_rows * n_cols)
-
-    if workers == 1 or n_rows == 1:
-        blocks = [_evaluate_rows(grid, slice(0, n_rows))]
-    else:
-        chunk = max(1, math.ceil(n_rows / workers))
-        slices = [
-            slice(start, min(start + chunk, n_rows))
-            for start in range(0, n_rows, chunk)
-        ]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda s: _evaluate_rows(grid, s), slices))
-
-    work = np.vstack([b[0] for b in blocks])
-    q_in = np.vstack([b[1] for b in blocks])
-    q_out = np.vstack([b[2] for b in blocks])
-    codes = np.vstack([b[3] for b in blocks])
-    eta_ratio = np.vstack([b[4] for b in blocks])
+    work, q_in, q_out, codes, eta_ratio = _evaluate_grid(grid)
 
     cells: list[ModeCell] = []
     for i, temp_ratio in enumerate(grid.temp_ratio_axis):
@@ -354,7 +239,7 @@ def sweep(grid: SweepGrid) -> list[ModeCell]:
                 ModeCell(
                     coupling_ratio=coupling_ratio,
                     temp_ratio=temp_ratio,
-                    mode=_CODE_TO_MODE[code],
+                    mode=_MODES[code],
                     work=float(work[i, j]),
                     q_in=float(q_in[i, j]),
                     q_out=float(q_out[i, j]),

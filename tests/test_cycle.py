@@ -1,17 +1,21 @@
 """Tests for stroke heats, work, mode classification, and efficiency."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spin_stirling import _kernels
-from spin_stirling.core import ThermalPoint, dimensionless_susceptibility
+from spin_stirling.core import Coupling, ThermalPoint, dimensionless_susceptibility
 from spin_stirling.cycle import (
     CycleSpec,
     OperationMode,
     StrokeLedger,
+    _evaluate,
     assemble_ledger,
     carnot_efficiency,
     classify_mode,
@@ -29,6 +33,7 @@ from spin_stirling.errors import (
     ModeError,
     ValidationError,
 )
+from spin_stirling.magnetometry import engine_curve
 
 # Reference cycle: the fitted dihydroxo-bridged Cu(II) dimer couplings at
 # ambient pressure (-32 K) and 0.84 GPa (-42 K), run between 20 K and 40 K.
@@ -297,3 +302,70 @@ class TestRandomizedInvariants:
             modes.add(classify_mode(led))
         assert OperationMode.FORBIDDEN not in modes
         assert OperationMode.HEAT_ENGINE in modes
+
+
+# The random-cycle domain of the acceptance gate
+# (tests/test_acceptance.py::_random_cycles): couplings in [-200, 200]
+# excluding zero, cold bath in [5, 400], temperature ratio in (1, 10],
+# hot bath at most 400 K.
+COUPLINGS = st.floats(min_value=-200.0, max_value=200.0).filter(lambda j: j != 0.0)
+TEMP_RATIOS = st.floats(min_value=1.0 + 1e-9, max_value=10.0)
+
+
+@st.composite
+def acceptance_cycles(draw):
+    j_a = draw(COUPLINGS)
+    j_b = draw(COUPLINGS.filter(lambda j: j != j_a))
+    ratio = draw(TEMP_RATIOS)
+    t_cold = draw(st.floats(min_value=5.0, max_value=400.0 / ratio))
+    return j_a, j_b, t_cold * ratio, t_cold
+
+
+def fingerprint(ledger, mode, eta):
+    """Bit patterns of the ledger and efficiency, plus the mode."""
+    values = dataclasses.astuple(ledger) + (math.nan if eta is None else eta,)
+    return np.array(values).view(np.int64).tolist(), mode
+
+
+def single_cycle(spec):
+    """The 0-d evaluation of one cycle, checked against the public API."""
+    result = _evaluate(
+        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+    ).at(())
+    eta = result[2]
+    assert fingerprint(assemble_ledger(spec), *result[1:]) == fingerprint(*result)
+    if eta is None:
+        with pytest.raises(ModeError):
+            efficiency(spec)
+    else:
+        assert efficiency(spec) == eta
+    return result
+
+
+class TestBatchedEvaluator:
+    @given(st.lists(acceptance_cycles(), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_single_cycles_match_one_batched_call(self, cycles):
+        batched = _evaluate(*(np.array(column) for column in zip(*cycles)))
+        for k, values in enumerate(cycles):
+            single = single_cycle(CycleSpec.from_values(*values))
+            assert fingerprint(*single) == fingerprint(*batched.at(k))
+
+    @given(
+        j_a=COUPLINGS,
+        j_b=COUPLINGS,
+        # Up to 40 K every temperature ratio keeps the hot bath <= 400 K.
+        t_cold=st.floats(min_value=5.0, max_value=40.0),
+        ratios=st.lists(TEMP_RATIOS, min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_engine_curve_points_match_single_cycles(self, j_a, j_b, t_cold, ratios):
+        assume(j_a != j_b)
+        axis = [t_cold * ratio for ratio in ratios]
+        points = engine_curve(Coupling(j_a), Coupling(j_b), t_cold, axis)
+        for point in points:
+            spec = CycleSpec.from_values(j_a, j_b, point.t_hot, t_cold)
+            single = single_cycle(spec)
+            assert fingerprint(point.ledger, point.mode, point.eta) == fingerprint(
+                *single
+            )

@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from spin_stirling import _kernels
 from spin_stirling.core import Coupling
 from spin_stirling.cycle import OperationMode
-from spin_stirling.errors import ValidationError
+from spin_stirling.errors import InvariantViolation, ValidationError
 from spin_stirling.phasemap import (
     Branch,
     GridAnchor,
     ModeCell,
     SweepGrid,
-    THREADS_ENV_VAR,
     export,
     export_to_path,
     read_cells,
-    resolve_thread_count,
     sweep,
     trace_zero_work_boundary,
 )
@@ -163,27 +162,16 @@ class TestSweep:
         grid = small_grid(np.linspace(-2, 2, 17), np.linspace(1.1, 2.9, 13))
         assert sweep(grid) == sweep(grid)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        grid = small_grid(np.linspace(-2.5, 2.5, 64), np.linspace(1.05, 2.95, 70))
-        monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        serial = sweep(grid)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        threaded = sweep(grid)
-        assert serial == threaded
-
-    def test_thread_env_var_validation(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        with pytest.raises(ValidationError):
-            resolve_thread_count(10000)
-        monkeypatch.setenv(THREADS_ENV_VAR, "-2")
-        with pytest.raises(ValidationError):
-            resolve_thread_count(10000)
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert resolve_thread_count(10000) >= 1
-
-    def test_small_grids_stay_serial(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "8")
-        assert resolve_thread_count(100) == 1
+    def test_first_law_violation_is_caught_on_the_grid(self, monkeypatch):
+        # A 1e-6 relative error in the work is 1e4 times the closure
+        # tolerance; every grid cell must go through the same check as
+        # a single cycle.
+        net_work = _kernels.net_work
+        monkeypatch.setattr(
+            _kernels, "net_work", lambda *args: net_work(*args) * (1.0 + 1e-6)
+        )
+        with pytest.raises(InvariantViolation, match="first-law closure"):
+            sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0]))
 
 
 class TestModeCell:

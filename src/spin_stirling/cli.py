@@ -284,14 +284,12 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     cells = sweep(grid)
     export_to_path(cells, resolved["out"], format=resolved["format"])
 
-    counts = {mode: 0 for mode in OperationMode}
-    for cell in cells:
-        counts[cell.mode] += 1
+    counts = np.bincount(cells.mode_code, minlength=len(OperationMode))
     for line in _echo_lines(resolved):
         print(line)
     print(f"cells {len(cells)}")
-    for mode in OperationMode:
-        print(f"{mode.token} {counts[mode]}")
+    for mode, count in zip(OperationMode, counts.tolist()):
+        print(f"{mode.token} {count}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK
 

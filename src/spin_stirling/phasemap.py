@@ -23,14 +23,20 @@ Cells go through the same evaluator as single cycles
 the first-law closure and isochoric sign checks and is classified by the
 one sign table, including the demotion of unresolved heat-engine cells
 to accelerators.  Sweeps are serial and deterministic.
+
+A sweep returns a :class:`ModeMap`, which holds the cells as numpy
+columns and builds :class:`ModeCell` objects only when a caller indexes
+or iterates it.  Exports format those columns a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import enum
 import json
 import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "GridAnchor",
     "SweepGrid",
     "ModeCell",
+    "ModeMap",
     "sweep",
     "trace_zero_work_boundary",
     "export",
@@ -60,6 +67,10 @@ _EXPORT_COLUMNS = (
     "q_out",
     "eta_over_carnot",
 )
+
+#: Rows per block when an export formats its text or a map builds its
+#: cells; bounds the memory either holds at once.
+_BLOCK_ROWS = 2048
 
 
 class Branch(enum.Enum):
@@ -198,6 +209,115 @@ class ModeCell:
             )
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class ModeMap(collections.abc.Sequence):
+    """Evaluated grid cells as flat numpy columns, one entry per cell.
+
+    A map is a read-only sequence of :class:`ModeCell`: ``len``, integer
+    indexing and iteration build cells on demand (so every cell a caller
+    sees passes :class:`ModeCell` validation), and a slice is a map over
+    the same columns.  ``mode_code`` indexes ``tuple(OperationMode)``;
+    ``eta_over_carnot`` is NaN wherever a cell has no efficiency.  Two
+    maps are equal when their cell lists would be, so NaN energies
+    compare unequal.
+
+    Construction checks the :class:`ModeCell` rule on whole columns:
+    ``eta_over_carnot`` lies in (0, 1) on every heat-engine cell and is
+    NaN on every other cell.
+    """
+
+    coupling_ratio: np.ndarray
+    temp_ratio: np.ndarray
+    mode_code: np.ndarray
+    work: np.ndarray
+    q_in: np.ndarray
+    q_out: np.ndarray
+    eta_over_carnot: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.coupling_ratio)
+        for field in dataclasses.fields(self):
+            dtype = np.int8 if field.name == "mode_code" else float
+            column = np.asarray(getattr(self, field.name))
+            if column.ndim != 1 or column.shape != shape:
+                raise ValidationError(
+                    f"{field.name} must be a flat column shaped like "
+                    f"coupling_ratio {shape}, got {column.shape}"
+                )
+            if field.name == "mode_code" and not (
+                np.issubdtype(column.dtype, np.integer)
+                and np.all((column >= 0) & (column < len(_MODES)))
+            ):
+                raise ValidationError("mode_code entries must index OperationMode")
+            # A read-only view: the caller's array stays writable.
+            column = column.astype(dtype, copy=False).view()
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+        engine = self.mode_code == _ENGINE
+        eta = self.eta_over_carnot
+        bad = engine & ~((eta > 0.0) & (eta < 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(
+                "heat-engine cells require eta_over_carnot in (0, 1), "
+                f"got {float(eta[k])!r} at cell {k}"
+            )
+        bad = ~engine & ~np.isnan(eta)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(
+                "eta_over_carnot must be absent for mode "
+                f"{_MODES[self.mode_code[k]].token!r}, got {float(eta[k])!r} "
+                f"at cell {k}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.mode_code)
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return ModeMap(*(column[index] for column in self._columns()))
+        k = range(len(self))[index]
+        code = int(self.mode_code[k])
+        return ModeCell(
+            coupling_ratio=float(self.coupling_ratio[k]),
+            temp_ratio=float(self.temp_ratio[k]),
+            mode=_MODES[code],
+            work=float(self.work[k]),
+            q_in=float(self.q_in[k]),
+            q_out=float(self.q_out[k]),
+            eta_over_carnot=(
+                float(self.eta_over_carnot[k]) if code == _ENGINE else None
+            ),
+        )
+
+    def __iter__(self) -> Iterator[ModeCell]:
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = (c[start : start + _BLOCK_ROWS].tolist() for c in self._columns())
+            for ratio, temp_ratio, code, work, q_in, q_out, eta in zip(*block):
+                yield ModeCell(
+                    ratio, temp_ratio, _MODES[code], work, q_in, q_out,
+                    eta if code == _ENGINE else None,
+                )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModeMap):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        # The efficiency column counts only on engine cells, as in ModeCell.
+        engine = self.mode_code == _ENGINE
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(self._columns()[:6], other._columns()[:6])
+        ) and np.array_equal(
+            self.eta_over_carnot[engine], other.eta_over_carnot[engine]
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
 def _evaluate_grid(grid: SweepGrid) -> tuple[np.ndarray, ...]:
     """Vectorized evaluation of every grid cell.
 
@@ -221,34 +341,27 @@ def _evaluate_grid(grid: SweepGrid) -> tuple[np.ndarray, ...]:
     return cells.work, cells.q_in, cells.q_out, codes, cells.eta / eta_carnot
 
 
-def sweep(grid: SweepGrid) -> list[ModeCell]:
+def sweep(grid: SweepGrid) -> ModeMap:
     """Evaluate every grid cell and classify its operating mode.
 
-    Cells are returned in row-major order with the temperature ratio as
-    the outer index: cell ``k`` has ``temp_ratio_axis[k // n_r]`` and
-    ``coupling_ratio_axis[k % n_r]``.  Two sweeps of the same grid are
-    bit-identical.
+    Returns a :class:`ModeMap`: a sequence of :class:`ModeCell` backed by
+    numpy columns.  Cells are in row-major order with the temperature
+    ratio as the outer index: cell ``k`` has ``temp_ratio_axis[k // n_r]``
+    and ``coupling_ratio_axis[k % n_r]``.  Two sweeps of the same grid
+    are bit-identical.
     """
     work, q_in, q_out, codes, eta_ratio = _evaluate_grid(grid)
-
-    cells: list[ModeCell] = []
-    for i, temp_ratio in enumerate(grid.temp_ratio_axis):
-        for j, coupling_ratio in enumerate(grid.coupling_ratio_axis):
-            code = int(codes[i, j])
-            cells.append(
-                ModeCell(
-                    coupling_ratio=coupling_ratio,
-                    temp_ratio=temp_ratio,
-                    mode=_MODES[code],
-                    work=float(work[i, j]),
-                    q_in=float(q_in[i, j]),
-                    q_out=float(q_out[i, j]),
-                    eta_over_carnot=(
-                        float(eta_ratio[i, j]) if code == _ENGINE else None
-                    ),
-                )
-            )
-    return cells
+    ratios = np.asarray(grid.coupling_ratio_axis, dtype=float)
+    temp_ratios = np.asarray(grid.temp_ratio_axis, dtype=float)
+    return ModeMap(
+        coupling_ratio=np.tile(ratios, len(temp_ratios)),
+        temp_ratio=np.repeat(temp_ratios, len(ratios)),
+        mode_code=codes.ravel(),
+        work=work.ravel(),
+        q_in=q_in.ravel(),
+        q_out=q_out.ravel(),
+        eta_over_carnot=eta_ratio.ravel(),
+    )
 
 
 #: Relative width to which each zero-work root bracket is narrowed.
@@ -313,158 +426,250 @@ def trace_zero_work_boundary(grid: SweepGrid, temp_ratio: float) -> list[float]:
     return deduped
 
 
-def _format_float(value: float) -> str:
-    """17-significant-digit decimal form, exact under roundtrip."""
-    return "%.17g" % value
+class _Layout(NamedTuple):
+    """The fixed text of one export format around its float fields."""
+
+    head: str  # before the first row
+    row: str  # one row, a ``%s`` per column
+    separator: str  # between rows
+    tail: str  # after the last row
+    nan: str  # a NaN value
+    absent: str  # an absent efficiency
+    tokens: list[str]  # mode tokens, indexed by mode code
 
 
-def _csv_bytes(cells: list[ModeCell]) -> bytes:
-    lines = [",".join(_EXPORT_COLUMNS)]
-    for cell in cells:
-        eta = "" if cell.eta_over_carnot is None else _format_float(cell.eta_over_carnot)
-        lines.append(
-            ",".join(
-                (
-                    _format_float(cell.coupling_ratio),
-                    _format_float(cell.temp_ratio),
-                    cell.mode.token,
-                    _format_float(cell.work),
-                    _format_float(cell.q_in),
-                    _format_float(cell.q_out),
-                    eta,
-                )
-            )
+_LAYOUTS = {
+    "csv": _Layout(
+        head=",".join(_EXPORT_COLUMNS) + "\n",
+        row=",".join(["%s"] * len(_EXPORT_COLUMNS)),
+        separator="\n",
+        tail="\n",
+        nan="nan",
+        absent="",
+        tokens=[mode.token for mode in _MODES],
+    ),
+    "json": _Layout(
+        head="[\n",
+        row="{" + ", ".join(f'"{name}": %s' for name in _EXPORT_COLUMNS) + "}",
+        separator=",\n",
+        tail="\n]\n",
+        nan="null",
+        absent="null",
+        tokens=[json.dumps(mode.token) for mode in _MODES],
+    ),
+}
+
+#: Mode code by serialization token.
+_CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
+
+
+def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
+    """Check an export request and convert plain cell sequences to columns."""
+    if not len(cells):
+        raise ValidationError("export requires a non-empty cell list")
+    if format not in _LAYOUTS:
+        raise ValidationError(
+            f"unknown export format {format!r}, use 'csv' or 'json'"
         )
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _json_number(value: float) -> str:
-    if math.isnan(value):
-        return "null"
-    return _format_float(value)
-
-
-def _json_bytes(cells: list[ModeCell]) -> bytes:
-    rows = []
-    for cell in cells:
-        eta = (
-            "null"
-            if cell.eta_over_carnot is None
-            else _format_float(cell.eta_over_carnot)
+    if isinstance(cells, ModeMap):
+        return cells
+    rows = [
+        (
+            cell.coupling_ratio, cell.temp_ratio, _CODE_OF_TOKEN[cell.mode.token],
+            cell.work, cell.q_in, cell.q_out,
+            math.nan if cell.eta_over_carnot is None else cell.eta_over_carnot,
         )
-        rows.append(
-            "{"
-            f'"coupling_ratio": {_json_number(cell.coupling_ratio)}, '
-            f'"temp_ratio": {_json_number(cell.temp_ratio)}, '
-            f'"mode": {json.dumps(cell.mode.token)}, '
-            f'"work": {_json_number(cell.work)}, '
-            f'"q_in": {_json_number(cell.q_in)}, '
-            f'"q_out": {_json_number(cell.q_out)}, '
-            f'"eta_over_carnot": {eta}'
-            "}"
+        for cell in cells
+    ]
+    return ModeMap(*(np.array(column) for column in zip(*rows)))
+
+
+def _text_blocks(cells: ModeMap, format: str) -> Iterator[str]:
+    """Yield the export text of ``cells``, ``_BLOCK_ROWS`` rows at a time.
+
+    Every float is written as ``%.17g`` (17 significant digits, exact
+    under roundtrip); JSON writes NaN as ``null``.  Within a block each
+    distinct value is formatted once, keyed on its bit pattern so that
+    ``-0.0`` and ``0.0`` stay apart, and the rows are laid out by one
+    ``%`` operation.
+    """
+    layout = _LAYOUTS[format]
+    numeric = (
+        cells.coupling_ratio, cells.temp_ratio, cells.work, cells.q_in,
+        cells.q_out, cells.eta_over_carnot,
+    )
+    yield layout.head
+    for start in range(0, len(cells), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(cells))
+        values = np.stack([column[start:stop] for column in numeric])
+        keys, slots = np.unique(values.view(np.int64), return_inverse=True)
+        floats = keys.view(np.float64)
+        texts = ("%.17g\n" * len(keys) % tuple(floats.tolist())).split("\n")
+        for k in np.flatnonzero(np.isnan(floats)).tolist():
+            texts[k] = layout.nan
+        # The text table holds the distinct values, then the absent
+        # efficiency (in the slot split left empty), then the mode tokens.
+        texts[len(keys)] = layout.absent
+        table = np.array(texts + layout.tokens, dtype=object)
+        slots = slots.reshape(values.shape)
+        codes = cells.mode_code[start:stop].astype(np.intp)
+        fields = np.stack(
+            [
+                slots[0],
+                slots[1],
+                len(keys) + 1 + codes,
+                slots[2],
+                slots[3],
+                slots[4],
+                np.where(codes == _ENGINE, slots[5], len(keys)),
+            ],
+            axis=1,
         )
-    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
+        rows = layout.separator.join([layout.row] * (stop - start))
+        text = rows % tuple(table[fields].ravel().tolist())
+        yield layout.separator + text if start else text
+    yield layout.tail
 
 
-def export(cells: list[ModeCell], format: str = "csv") -> bytes:
+def export(cells: Sequence[ModeCell], format: str = "csv") -> bytes:
     """Serialize cells to CSV or JSON bytes.
 
-    Column order is fixed (coupling_ratio, temp_ratio, mode, work, q_in,
-    q_out, eta_over_carnot); floats carry 17 significant digits so a
-    parse reproduces the doubles bit-exactly; the mode is its lowercase
-    token.  An absent efficiency ratio is an empty CSV field or a JSON
-    null; NaN energies of flagged cells become JSON nulls because JSON
-    has no NaN literal.
+    ``cells`` is a :class:`ModeMap` or any sequence of :class:`ModeCell`;
+    a plain sequence is converted to columns first.  Column order is
+    fixed (coupling_ratio, temp_ratio, mode, work, q_in, q_out,
+    eta_over_carnot); floats carry 17 significant digits so a parse
+    reproduces the doubles bit-exactly; the mode is its lowercase token.
+    An absent efficiency ratio is an empty CSV field or a JSON null; NaN
+    energies of flagged cells become JSON nulls because JSON has no NaN
+    literal.
     """
-    if not cells:
-        raise ValidationError("export requires a non-empty cell list")
-    if format == "csv":
-        return _csv_bytes(cells)
-    if format == "json":
-        return _json_bytes(cells)
-    raise ValidationError(f"unknown export format {format!r}, use 'csv' or 'json'")
+    return "".join(_text_blocks(_as_map(cells, format), format)).encode("utf-8")
 
 
-def export_to_path(cells: list[ModeCell], path: str, format: str = "csv") -> None:
-    """Write an export to ``path``; OS errors keep the path context."""
-    payload = export(cells, format=format)
+def export_to_path(
+    cells: Sequence[ModeCell], path: str, format: str = "csv"
+) -> None:
+    """Write :func:`export`'s bytes to ``path``.
+
+    Rows are formatted and written a block at a time, so the text held
+    in memory does not grow with the number of cells.  OS errors keep
+    the path context.
+    """
+    blocks = _text_blocks(_as_map(cells, format), format)
     try:
         with open(path, "wb") as handle:
-            handle.write(payload)
+            for text in blocks:
+                handle.write(text.encode("utf-8"))
     except OSError as exc:
         raise OSError(
             exc.errno, f"cannot write {format} export: {exc.strerror}", path
         ) from exc
 
 
-def _cell_from_fields(
-    coupling_ratio: float,
-    temp_ratio: float,
-    mode_token: str,
-    work: float,
-    q_in: float,
-    q_out: float,
-    eta_over_carnot: float | None,
-) -> ModeCell:
-    return ModeCell(
-        coupling_ratio=coupling_ratio,
-        temp_ratio=temp_ratio,
-        mode=OperationMode.from_token(mode_token),
-        work=work,
-        q_in=q_in,
-        q_out=q_out,
-        eta_over_carnot=eta_over_carnot,
-    )
+def _column(convert, fields, dtype, rows, what: str) -> np.ndarray:
+    """``convert`` applied to each field; a failure names the field's row."""
+    try:
+        return np.fromiter(map(convert, fields), dtype, len(fields))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for field, row in zip(fields, rows):
+            try:
+                convert(field)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise ValidationError(
+                    f"bad {what} {field!r} in export row {row!r}"
+                ) from None
+        raise
 
 
-def read_cells(data: bytes, format: str = "csv") -> list[ModeCell]:
-    """Parse bytes produced by :func:`export` back into cells.
+def _csv_fields(text: str) -> tuple[list[str], list[list[str]]]:
+    """The data lines of a CSV export and its seven columns of fields."""
+    lines = [line for line in text.splitlines() if line]
+    if not lines or lines[0] != ",".join(_EXPORT_COLUMNS):
+        raise ValidationError("CSV header does not match the export contract")
+    lines = lines[1:]
+    for line in lines:
+        if line.count(",") != len(_EXPORT_COLUMNS) - 1:
+            raise ValidationError(f"malformed export row: {line!r}")
+    fields = ",".join(lines).split(",") if lines else []
+    columns = [fields[k :: len(_EXPORT_COLUMNS)] for k in range(len(_EXPORT_COLUMNS))]
+    modes, eta = columns[2], columns[6]
+    # An empty efficiency field is absent (NaN), which the map's column
+    # check rejects on an engine row; any other row must leave it empty.
+    engine_token = OperationMode.HEAT_ENGINE.token
+    for line, mode, field in zip(lines, modes, eta):
+        if field and mode != engine_token:
+            raise ValidationError(
+                f"eta_over_carnot must be absent for mode {mode!r}: {line!r}"
+            )
+    columns[6] = [field or "nan" for field in eta]
+    return lines, columns
+
+
+def _json_float(value) -> float:
+    return math.nan if value is None else float(value)
+
+
+def _json_fields(text: str) -> tuple[list[dict], list[list]]:
+    """The rows of a JSON export and its seven columns of values."""
+    try:
+        # Integer literals parse as floats so that ``-0`` keeps its sign.
+        rows = json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        start = text.rfind("\n", 0, exc.pos) + 1
+        end = text.find("\n", exc.pos)
+        row = text[start : end if end >= 0 else len(text)]
+        raise ValidationError(
+            f"malformed JSON export at line {exc.lineno}, column {exc.colno} "
+            f"({exc.msg}): {row!r}"
+        ) from None
+    if not isinstance(rows, list):
+        raise ValidationError("a JSON export must be an array of rows")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValidationError(f"JSON export row is not an object: {row!r}")
+        for key in _EXPORT_COLUMNS:
+            if key not in row:
+                raise ValidationError(f"export row lacks key {key!r}: {row!r}")
+    columns = [[row[key] for row in rows] for key in _EXPORT_COLUMNS]
+    # JSON rows of non-engine modes may carry any efficiency; it is dropped.
+    engine_token = OperationMode.HEAT_ENGINE.token
+    columns[6] = [
+        eta if mode == engine_token else None
+        for mode, eta in zip(columns[2], columns[6])
+    ]
+    return rows, columns
+
+
+def read_cells(data: bytes, format: str = "csv") -> ModeMap:
+    """Parse bytes produced by :func:`export` back into a :class:`ModeMap`.
 
     Exists mainly so the serialization contract (bit-exact roundtrip)
-    is testable and so downstream tools can re-ingest exports.
+    is testable and so downstream tools can re-ingest exports.  Input
+    that breaks the contract (a wrong CSV header, a row without seven
+    fields, a non-numeric field, an unknown mode token, a missing JSON
+    key, truncated JSON, or an efficiency present off a heat-engine row
+    or missing on one) raises :class:`ValidationError` naming the row.
+    A JSON row outside heat-engine mode may carry any efficiency; it is
+    dropped.
     """
     text = data.decode("utf-8")
-    cells: list[ModeCell] = []
     if format == "csv":
-        lines = [line for line in text.splitlines() if line]
-        if not lines or lines[0] != ",".join(_EXPORT_COLUMNS):
-            raise ValidationError("CSV header does not match the export contract")
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) != len(_EXPORT_COLUMNS):
-                raise ValidationError(f"malformed export row: {line!r}")
-            cells.append(
-                _cell_from_fields(
-                    float(parts[0]),
-                    float(parts[1]),
-                    parts[2],
-                    float(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]) if parts[6] != "" else None,
-                )
-            )
-        return cells
-    if format == "json":
-        def _num(value: float | None) -> float:
-            return math.nan if value is None else float(value)
-
-        for row in json.loads(text):
-            cells.append(
-                _cell_from_fields(
-                    _num(row["coupling_ratio"]),
-                    _num(row["temp_ratio"]),
-                    row["mode"],
-                    _num(row["work"]),
-                    _num(row["q_in"]),
-                    _num(row["q_out"]),
-                    (
-                        None
-                        if row["eta_over_carnot"] is None
-                        or row["mode"] != OperationMode.HEAT_ENGINE.value
-                        else float(row["eta_over_carnot"])
-                    ),
-                )
-            )
-        return cells
-    raise ValidationError(f"unknown export format {format!r}, use 'csv' or 'json'")
+        rows, columns = _csv_fields(text)
+        number = float
+    elif format == "json":
+        rows, columns = _json_fields(text)
+        number = _json_float
+    else:
+        raise ValidationError(
+            f"unknown export format {format!r}, use 'csv' or 'json'"
+        )
+    ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
+    return ModeMap(
+        coupling_ratio=_column(number, ratio, float, rows, "coupling_ratio"),
+        temp_ratio=_column(number, temp_ratio, float, rows, "temp_ratio"),
+        mode_code=_column(_CODE_OF_TOKEN.__getitem__, modes, np.int8, rows, "mode"),
+        work=_column(number, work, float, rows, "work"),
+        q_in=_column(number, q_in, float, rows, "q_in"),
+        q_out=_column(number, q_out, float, rows, "q_out"),
+        eta_over_carnot=_column(number, eta, float, rows, "eta_over_carnot"),
+    )

@@ -112,6 +112,10 @@ class TestSweepCommand:
              "carnot", "forbidden")
         }
         assert sum(counts.values()) == 432
+        assert len(counts) == 6
+        rows = out.read_text().splitlines()[1:]
+        for token, count in counts.items():
+            assert sum(row.split(",")[2] == token for row in rows) == count
 
     def test_json_output_matches_schema(self, tmp_path):
         out = tmp_path / "map.json"

@@ -1,11 +1,15 @@
 """Tests for mode-map sweeps, zero-work tracing, and cell serialization."""
 
+import json
 import math
+import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 
-from spin_stirling import _kernels
+from spin_stirling import _kernels, phasemap
+from spin_stirling.cli import schema_text
 from spin_stirling.core import Coupling
 from spin_stirling.cycle import OperationMode
 from spin_stirling.errors import InvariantViolation, ValidationError
@@ -13,6 +17,7 @@ from spin_stirling.phasemap import (
     Branch,
     GridAnchor,
     ModeCell,
+    ModeMap,
     SweepGrid,
     export,
     export_to_path,
@@ -32,13 +37,89 @@ ROOTS_TR_2_0 = (-0.7065697624103019, 1.0)
 ROOTS_TR_1_5 = (-0.6807723748672726, 1.0)
 
 
-def small_grid(ratios, temps, branch=Branch.B_NEGATIVE, j_b=-32.0, t_cold=20.0):
+def small_grid(
+    ratios, temps, branch=Branch.B_NEGATIVE, j_b=-32.0, t_cold=20.0, cap=None
+):
+    coupling = Coupling(j_b) if cap is None else Coupling(j_b, cap=cap)
     return SweepGrid(
         coupling_ratio_axis=tuple(ratios),
         temp_ratio_axis=tuple(temps),
-        anchor=GridAnchor(j_b=Coupling(j_b), t_cold=t_cold),
+        anchor=GridAnchor(j_b=coupling, t_cold=t_cold),
         branch=branch,
     )
+
+
+def edge_grid():
+    """A grid holding every formatting edge case in a few cells.
+
+    The cap of 50 K flags ratio 2 (|j_a| = 64 K, NaN energies) and keeps
+    ratio 1.3125 (the reference heat engine at 2.0); the axes carry a
+    -0.0 coupling ratio, a ratio of exactly 1 and a temperature ratio
+    of 1 + 1e-13.
+    """
+    return small_grid(
+        [-0.5, -0.0, 0.5, 1.0, 1.3125, 2.0], [1.0 + 1e-13, 1.5, 2.0], cap=50.0
+    )
+
+
+# Reference serializers: the per-cell formatters that defined the export
+# bytes before export became columnar.  ``export`` must match them byte
+# for byte.
+
+
+def _reference_float(value):
+    return "%.17g" % value
+
+
+def _reference_json_number(value):
+    return "null" if math.isnan(value) else _reference_float(value)
+
+
+def reference_csv(cells):
+    lines = ["coupling_ratio,temp_ratio,mode,work,q_in,q_out,eta_over_carnot"]
+    for cell in cells:
+        eta = (
+            "" if cell.eta_over_carnot is None
+            else _reference_float(cell.eta_over_carnot)
+        )
+        lines.append(
+            ",".join(
+                (
+                    _reference_float(cell.coupling_ratio),
+                    _reference_float(cell.temp_ratio),
+                    cell.mode.token,
+                    _reference_float(cell.work),
+                    _reference_float(cell.q_in),
+                    _reference_float(cell.q_out),
+                    eta,
+                )
+            )
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_json(cells):
+    rows = []
+    for cell in cells:
+        eta = (
+            "null" if cell.eta_over_carnot is None
+            else _reference_float(cell.eta_over_carnot)
+        )
+        rows.append(
+            "{"
+            f'"coupling_ratio": {_reference_json_number(cell.coupling_ratio)}, '
+            f'"temp_ratio": {_reference_json_number(cell.temp_ratio)}, '
+            f'"mode": {json.dumps(cell.mode.token)}, '
+            f'"work": {_reference_json_number(cell.work)}, '
+            f'"q_in": {_reference_json_number(cell.q_in)}, '
+            f'"q_out": {_reference_json_number(cell.q_out)}, '
+            f'"eta_over_carnot": {eta}'
+            "}"
+        )
+    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
+
+
+REFERENCE_EXPORTS = {"csv": reference_csv, "json": reference_json}
 
 
 class TestGridConstruction:
@@ -327,3 +408,205 @@ class TestSerialization:
         with pytest.raises(OSError) as err:
             export_to_path(cells, str(target), format="csv")
         assert "map.csv" in str(err.value)
+
+    def test_flagged_cells_roundtrip_bit_exact(self):
+        cells = sweep(edge_grid())
+        assert np.isnan(cells.work).any()
+        for fmt in ("csv", "json"):
+            back = read_cells(export(cells, format=fmt), format=fmt)
+            assert np.array_equal(back.mode_code, cells.mode_code)
+            for name in (
+                "coupling_ratio", "temp_ratio", "work", "q_in", "q_out",
+                "eta_over_carnot",
+            ):
+                ours, theirs = getattr(cells, name), getattr(back, name)
+                nan = np.isnan(ours)
+                assert np.array_equal(nan, np.isnan(theirs)), (fmt, name)
+                assert np.array_equal(
+                    ours[~nan].view(np.int64), theirs[~nan].view(np.int64)
+                ), (fmt, name)
+
+    def test_flagged_json_export_matches_the_schema(self):
+        data = export(sweep(edge_grid()), format="json")
+        jsonschema.validate(json.loads(data), json.loads(schema_text("mode_map")))
+
+
+class TestExportBytes:
+    GRIDS = {
+        "edges": edge_grid,
+        "b-negative": lambda: small_grid(
+            np.linspace(-3.0, 3.0, 37), np.linspace(1.005, 3.0, 23)
+        ),
+        "b-positive": lambda: small_grid(
+            np.linspace(-3.0, 3.0, 29), np.linspace(1.0 + 1e-9, 3.0, 17),
+            branch=Branch.B_POSITIVE, j_b=32.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_the_per_cell_reference(self, grid, fmt):
+        cells = sweep(self.GRIDS[grid]())
+        assert export(cells, format=fmt) == REFERENCE_EXPORTS[fmt](cells)
+
+    def test_edge_grid_covers_the_edge_cases(self):
+        cells = list(sweep(edge_grid()))
+        modes = {cell.mode for cell in cells}
+        assert {OperationMode.FORBIDDEN, OperationMode.HEAT_ENGINE} <= modes
+        assert any(math.isnan(cell.work) for cell in cells)
+        assert any(
+            cell.coupling_ratio == 0.0 and math.copysign(1.0, cell.coupling_ratio) < 0
+            for cell in cells
+        )
+        assert any(cell.coupling_ratio == 1.0 for cell in cells)
+        assert any(cell.temp_ratio == 1.0 + 1e-13 for cell in cells)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_plain_cell_lists_export_like_maps(self, fmt):
+        cells = sweep(edge_grid())
+        assert export(list(cells), format=fmt) == export(cells, format=fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_block_size_does_not_change_the_bytes(
+        self, fmt, block_rows, monkeypatch, tmp_path
+    ):
+        cells = sweep(edge_grid())
+        assert len(cells) % 7 != 0
+        expected = export(cells, format=fmt)
+        monkeypatch.setattr(phasemap, "_BLOCK_ROWS", block_rows)
+        assert export(cells, format=fmt) == expected
+        target = tmp_path / f"map.{fmt}"
+        export_to_path(cells, str(target), format=fmt)
+        assert target.read_bytes() == expected
+
+
+    def test_export_to_path_memory_does_not_grow_with_the_grid(self, tmp_path):
+        def peak_bytes(resolution):
+            cells = sweep(SweepGrid.default(resolution=resolution))
+            tracemalloc.start()
+            try:
+                export_to_path(cells, str(tmp_path / "map.json"), format="json")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 2,500 cells already fill more than one block; 14,400 fill seven.
+        assert peak_bytes(120) < 2 * peak_bytes(50)
+
+
+class TestModeMap:
+    @pytest.fixture()
+    def cells(self):
+        return sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.5]))
+
+    def test_indexing_matches_iteration(self, cells):
+        listed = list(cells)
+        assert len(listed) == len(cells) == 9
+        assert [cells[k] for k in range(len(cells))] == listed
+        assert cells[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            cells[len(cells)]
+
+    def test_slices_are_maps_over_the_same_cells(self, cells):
+        part = cells[3:11:2]
+        assert isinstance(part, ModeMap)
+        assert list(part) == list(cells)[3:11:2]
+
+    def test_columns_are_read_only(self, cells):
+        with pytest.raises(ValueError):
+            cells.work[0] = 1.0
+
+    def test_equality_follows_the_cells(self, cells):
+        grid = small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.5])
+        assert sweep(grid) == cells
+        assert cells != sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.6]))
+        assert cells != cells[:-1]
+        # Flagged cells carry NaN energies, and NaN != NaN, as for cells.
+        flagged = sweep(edge_grid())
+        assert flagged != sweep(edge_grid())
+        assert list(flagged) != list(sweep(edge_grid()))
+
+    def test_rejects_eta_outside_engine_cells(self, cells):
+        columns = {
+            name: np.array(getattr(cells, name))
+            for name in (
+                "coupling_ratio", "temp_ratio", "mode_code", "work", "q_in",
+                "q_out", "eta_over_carnot",
+            )
+        }
+        engine = columns["mode_code"] == list(OperationMode).index(
+            OperationMode.HEAT_ENGINE
+        )
+        assert engine.any() and not engine.all()
+        stray = dict(
+            columns,
+            eta_over_carnot=np.where(engine, columns["eta_over_carnot"], 0.5),
+        )
+        with pytest.raises(ValidationError, match="must be absent"):
+            ModeMap(**stray)
+        missing = dict(columns, eta_over_carnot=np.full(len(cells), np.nan))
+        with pytest.raises(ValidationError, match="require eta_over_carnot"):
+            ModeMap(**missing)
+
+    def test_rejects_ragged_columns(self, cells):
+        with pytest.raises(ValidationError, match="flat column"):
+            ModeMap(
+                cells.coupling_ratio, cells.temp_ratio, cells.mode_code,
+                cells.work[:-1], cells.q_in, cells.q_out, cells.eta_over_carnot,
+            )
+
+
+class TestReadCellsErrors:
+    @pytest.fixture()
+    def cells(self):
+        return sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0]))
+
+    def test_non_numeric_csv_field_is_a_validation_error(self, cells):
+        lines = export(cells, format="csv").split(b"\n")
+        lines[2] = lines[2].replace(b",", b",x", 1)
+        with pytest.raises(ValidationError, match="export row") as err:
+            read_cells(b"\n".join(lines), format="csv")
+        assert lines[2].decode() in str(err.value)
+
+    def test_json_row_without_a_key_is_a_validation_error(self, cells):
+        rows = json.loads(export(cells, format="json"))
+        del rows[1]["q_in"]
+        with pytest.raises(ValidationError, match="q_in"):
+            read_cells(json.dumps(rows).encode(), format="json")
+
+    def test_truncated_json_is_a_validation_error(self, cells):
+        data = export(cells, format="json")
+        cut = data[: len(data) // 2]
+        with pytest.raises(ValidationError, match="malformed JSON") as err:
+            read_cells(cut, format="json")
+        assert cut.decode().rsplit("\n", 1)[1] in str(err.value)
+
+    def test_unknown_mode_token_is_rejected(self, cells):
+        data = export(cells, format="csv").replace(b",heater,", b",boiler,", 1)
+        assert b"boiler" in data
+        with pytest.raises(ValidationError, match="boiler"):
+            read_cells(data, format="csv")
+
+    def test_efficiency_presence_rule(self, cells):
+        lines = export(cells, format="csv").decode().split("\n")
+        engine = next(k for k, line in enumerate(lines) if ",heat_engine," in line)
+        other = next(
+            k for k, line in enumerate(lines[1:], 1)
+            if line and ",heat_engine," not in line
+        )
+        absent = list(lines)
+        absent[engine] = absent[engine].rsplit(",", 1)[0] + ","
+        with pytest.raises(ValidationError):
+            read_cells("\n".join(absent).encode(), format="csv")
+        present = list(lines)
+        present[other] = present[other] + "nan"
+        with pytest.raises(ValidationError, match="must be absent"):
+            read_cells("\n".join(present).encode(), format="csv")
+
+    def test_json_drops_efficiency_off_engine_rows(self, cells):
+        rows = json.loads(export(cells, format="json"))
+        for row in rows:
+            if row["mode"] != "heat_engine":
+                row["eta_over_carnot"] = 0.5
+        assert read_cells(json.dumps(rows).encode(), format="json") == cells

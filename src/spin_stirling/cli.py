@@ -219,9 +219,11 @@ def _cmd_cycle(ns: argparse.Namespace) -> int:
         t_hot=resolved["th"],
         t_cold=resolved["tc"],
     )
-    ledger, mode, eta = _evaluate_cycles(
-        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-    ).at(())
+    ledger, mode, eta = next(
+        _evaluate_cycles(
+            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+        ).rows()
+    )
     eta_carnot = carnot_efficiency(spec.t_hot, spec.t_cold)
 
     ledger_fields = ("q_ab", "q_bc", "q_cd", "q_da", "work", "q_in", "q_out")

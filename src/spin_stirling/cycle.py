@@ -18,10 +18,11 @@ package invariant.
 Classification into operational modes follows the second-law-allowed
 sign patterns of (W, Q_in, Q_out), with a tolerance band around the
 all-zero Carnot degeneracy.  Any other sign pattern is reported as
-``FORBIDDEN``, which flags a bug or an out-of-domain input rather than
-a physical operating regime.  A heat-engine sign pattern whose
-efficiency escapes the Carnot interval can only be unresolved roundoff
-and is classified as an accelerator.
+``FORBIDDEN`` by :func:`classify_mode`; no physical operating regime
+produces one.  The evaluator re-reads such a pattern with every sign
+below the roundoff floor of the state functions taken as zero.  A
+heat-engine sign pattern whose efficiency escapes the Carnot interval
+can only be unresolved roundoff and is classified as an accelerator.
 
 Single cycles, engine curves and mode maps all go through one batched
 evaluator, :func:`_evaluate`, so they share these checks and rules.
@@ -33,7 +34,7 @@ import dataclasses
 import enum
 import math
 import warnings
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,22 @@ class CycleSpec:
                 "zero-width cycle: j_a and j_b must differ, both are "
                 f"{self.j_a.j_over_kb!r} K"
             )
+
+    @classmethod
+    def check_t_hot_axis(
+        cls, j_a: Coupling, j_b: Coupling, t_hot_axis: list[float], t_cold: float
+    ) -> None:
+        """Raise the error that the spec of the first invalid point of
+        ``t_hot_axis`` raises, building only the specs that can fail.
+
+        The first point's spec checks t_cold and the couplings, which
+        every point shares; only the t_hot checks of
+        :meth:`__post_init__` remain for the other points.
+        """
+        cls(j_a, j_b, t_hot_axis[0], t_cold)
+        for t_hot in t_hot_axis:
+            if not (math.isfinite(t_hot) and t_hot > t_cold):
+                cls(j_a, j_b, t_hot, t_cold)
 
     @classmethod
     def from_values(
@@ -286,14 +303,12 @@ class _Evaluation(NamedTuple):
     code: np.ndarray  # int8 index into _MODES
     eta: np.ndarray  # W / Q_in in heat-engine operation, NaN elsewhere
 
-    def at(self, k) -> tuple[StrokeLedger, OperationMode, float | None]:
+    def rows(self) -> Iterator[tuple[StrokeLedger, OperationMode, float | None]]:
         """Ledger, mode and efficiency (None outside heat-engine
-        operation) of element ``k``."""
-        code = int(self.code[k])
-        eta = float(self.eta[k]) if code == _ENGINE else None
+        operation) of every element in flat order."""
         # The first seven fields are StrokeLedger's, in its order.
-        ledger = StrokeLedger(*(float(column[k]) for column in self[:7]))
-        return ledger, _MODES[code], eta
+        for *fields, code, eta in zip(*(column.ravel().tolist() for column in self)):
+            yield StrokeLedger(*fields), _MODES[code], eta if code == _ENGINE else None
 
 
 def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
@@ -310,13 +325,19 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
     Comparisons with NaN are false, so NaN inputs (the sweep's cells
     beyond the coupling cap) yield NaN cells that the checks pass over.
 
-    Modes follow :func:`classify_mode` with its default Carnot band.  A
-    cycle showing the heat-engine sign pattern whose ``eta / eta_carnot``
-    escapes (0, 1) contradicts the Carnot theorem, which holds
-    analytically for every resolvable cycle; it can only mean the net
-    work is below the roundoff floor at this conditioning.  Such a cycle
-    is demoted to the (0, +, -) accelerator convention that an exactly
-    zero-width stroke produces, and carries no efficiency.
+    Modes follow :func:`classify_mode` with its default Carnot band.
+    Two rules then resolve what roundoff leaves.  A forbidden sign
+    pattern, which the second law rules out for every resolvable cycle,
+    is read again with a net work inside the roundoff floor taken as
+    zero and the Carnot band widened to the floor; when every stroke
+    heat underflows, the closed-form work keeps a residue of that order
+    whose sign means nothing.  A cycle showing the heat-engine sign
+    pattern whose ``eta / eta_carnot`` escapes (0, 1) contradicts the
+    Carnot theorem, which holds analytically for every resolvable
+    cycle; it can only mean the net work is below the roundoff floor at
+    this conditioning.  Such a cycle is demoted to the (0, +, -)
+    accelerator convention that an exactly zero-width stroke produces,
+    and carries no efficiency.
 
     ``eta_carnot`` defaults to ``1 - t_cold / t_hot``; the sweep passes
     its own ``1 - 1 / temp_ratio`` so that the demotion test and its
@@ -354,10 +375,18 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
         )
 
     code = _classify(work, q_in, q_out, band)
+    forbidden = code == _FORBIDDEN
+    if forbidden.any():
+        resolved = _classify(
+            np.where(np.abs(work) <= floor, 0.0, work), q_in, q_out, sign_slack
+        )
+        code = np.where(forbidden, resolved, code)
     if eta_carnot is None:
         eta_carnot = 1.0 - np.divide(t_cold, t_hot)
     engine = code == _ENGINE
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An underflowed q_in or a tiny eta_carnot can make these quotients
+    # overflow; the demotion below catches the resulting infinity.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(engine, work / q_in, np.nan)
         eta_ratio = eta / eta_carnot
     unresolved = engine & ~((eta_ratio > 0.0) & (eta_ratio < 1.0))
@@ -400,9 +429,12 @@ def assemble_ledger(spec: CycleSpec) -> StrokeLedger:
     endpoints has ``T > |J|/k_B``, where the dimer model leaves the
     exchange-dominated regime it is meant to describe.
     """
-    return _evaluate_cycles(
-        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-    ).at(())[0]
+    ledger, _, _ = next(
+        _evaluate_cycles(
+            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+        ).rows()
+    )
+    return ledger
 
 
 def classify_mode(
@@ -426,6 +458,16 @@ def classify_mode(
     ``CARNOT_DEGENERATE`` is returned.  Any remaining pattern (for
     example positive work with negative absorbed heat) cannot arise from
     the physics and is returned as ``FORBIDDEN``.
+
+    The ledger alone does not carry the roundoff floor of its operands
+    (see :func:`_roundoff_floor`), so this function reads every sign
+    against ``tolerance`` only.  The evaluator behind
+    :func:`assemble_ledger`, engine curves and sweeps reads a forbidden
+    pattern again with a work below that floor taken as zero and the
+    band widened to it, and demotes unresolved heat engines to
+    accelerators; for a deeply gapped or near-degenerate cycle its mode
+    can therefore differ from what this function returns for the same
+    ledger.
 
     Parameters
     ----------
@@ -452,9 +494,11 @@ def efficiency(spec: CycleSpec) -> float:
     whose efficiency escapes that interval is unresolved roundoff, and
     every evaluation path classifies it as an accelerator.
     """
-    _, mode, eta = _evaluate_cycles(
-        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-    ).at(())
+    _, mode, eta = next(
+        _evaluate_cycles(
+            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+        ).rows()
+    )
     if eta is None:
         raise ModeError(
             f"efficiency requires heat-engine operation, cycle is {mode.token!r}"

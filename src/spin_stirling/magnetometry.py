@@ -41,7 +41,6 @@ from .cycle import (
     OperationMode,
     StrokeLedger,
     _evaluate_cycles,
-    carnot_efficiency,
 )
 from .errors import DataFormatError, ValidationError
 
@@ -540,22 +539,13 @@ def engine_curve(
     axis = [float(t) for t in t_hot_axis]
     if not axis:
         raise ValidationError("t_hot_axis must be non-empty")
-    for t_hot in axis:  # the spec validates each point
-        CycleSpec(j_a=j_a, j_b=j_b, t_hot=t_hot, t_cold=t_cold)
+    CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
     cycles = _evaluate_cycles(j_a.j_over_kb, j_b.j_over_kb, np.array(axis), t_cold)
-    points: list[EngineCurvePoint] = []
-    for k, t_hot in enumerate(axis):
-        ledger, mode, eta = cycles.at(k)
-        points.append(
-            EngineCurvePoint(
-                t_hot=t_hot,
-                ledger=ledger,
-                mode=mode,
-                eta=eta,
-                eta_carnot=carnot_efficiency(t_hot, t_cold),
-            )
-        )
-    return points
+    # On a validated axis this is carnot_efficiency(t_hot, t_cold), bit for bit.
+    return [
+        EngineCurvePoint(t_hot, ledger, mode, eta, 1.0 - t_cold / t_hot)
+        for t_hot, (ledger, mode, eta) in zip(axis, cycles.rows())
+    ]
 
 
 def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:

@@ -398,7 +398,8 @@ def trace_zero_work_boundary(grid: SweepGrid, temp_ratio: float) -> list[float]:
         return float(_kernels.net_work(ratio * j_b, j_b, t_hot, t_cold))
 
     axis = grid.coupling_ratio_axis
-    values = [work_at(r) for r in axis]
+    # One array call, elementwise the same arithmetic as work_at.
+    values = _kernels.net_work(np.asarray(axis) * j_b, j_b, t_hot, t_cold).tolist()
 
     roots = [r for r, w in zip(axis, values) if w == 0.0]
     for (a, wa), (b, wb) in zip(zip(axis, values), zip(axis[1:], values[1:])):

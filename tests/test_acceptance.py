@@ -5,8 +5,8 @@ FAIL line straight to the real stdout, bypassing pytest capture, so the
 gate summary survives in plain logs.  Three criteria (6, 7, and 9)
 encode externally supplied magnitude and shape expectations that the
 exact thermodynamics implemented here does not reproduce; they are kept
-as stated, are expected to fail, and the blocking analysis is recorded
-in the engineering notes that accompany this package.
+as stated and are expected to fail; ``docs/acceptance_gaps.md`` explains
+the observed values, and ``scripts/acceptance_gaps.py`` regenerates them.
 """
 
 import statistics

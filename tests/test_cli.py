@@ -46,6 +46,15 @@ class TestCycleCommand:
         assert payload["mode"] == "heat_engine"
         assert payload["ledger_k_kb"]["work"] == pytest.approx(0.6670520799196522)
 
+    def test_deep_gap_cycle_is_not_forbidden(self, capsys):
+        # Every stroke heat underflows; the work's roundoff residue must
+        # not give the cycle a sign pattern the second law forbids.
+        args = ["cycle", "--ja-k=200", "--jb-k=600", "--th=2", "--tc=1.99"]
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "mode       carnot" in out.splitlines()
+        assert "forbidden" not in out
+
     def test_output_is_reproducible(self, capsys):
         main(CYCLE_ARGS + ["--json"])
         first = capsys.readouterr().out
@@ -273,3 +282,35 @@ class TestTopLevel:
 
     def test_unknown_subcommand_fails_validation(self):
         assert main(["warp-drive"]) == EXIT_VALIDATION
+
+
+class TestRepeatedCalls:
+    def test_repeated_calls_do_not_depend_on_order(self, tmp_path, capsys):
+        data = write_synthetic_data(tmp_path / "chi.csv")
+        out = tmp_path / "out"
+        sequence = [
+            CYCLE_ARGS + ["--json"],
+            ["cycle", "--ja-k", "not-a-number"],
+            ["sweep", "--ratio-steps", "5", "--tr-steps", "4", "--out", str(out)],
+            ["fit", "--data", str(data)],
+            TestEngineCurveCommand.BASE + ["--steps", "7", "--out", str(out)],
+            ["--help"],
+            CYCLE_ARGS,
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, captured.out, captured.err, written
+
+        # No call may leave state behind for the next one: the same
+        # calls in the reverse order give the same results.
+        forward = [run(argv) for argv in sequence]
+        backward = [run(argv) for argv in reversed(sequence)][::-1]
+        assert forward == backward
+        codes = [code for code, *_ in forward]
+        assert codes == [EXIT_OK, EXIT_VALIDATION] + [EXIT_OK] * 5
+        assert "invalid float value" in forward[1][2]
+        assert "usage: spin-stirling" in forward[5][1]

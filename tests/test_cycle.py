@@ -329,9 +329,11 @@ def fingerprint(ledger, mode, eta):
 
 def single_cycle(spec):
     """The 0-d evaluation of one cycle, checked against the public API."""
-    result = _evaluate(
-        spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-    ).at(())
+    result = next(
+        _evaluate(
+            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
+        ).rows()
+    )
     eta = result[2]
     assert fingerprint(assemble_ledger(spec), *result[1:]) == fingerprint(*result)
     if eta is None:
@@ -347,9 +349,9 @@ class TestBatchedEvaluator:
     @settings(max_examples=60, deadline=None)
     def test_single_cycles_match_one_batched_call(self, cycles):
         batched = _evaluate(*(np.array(column) for column in zip(*cycles)))
-        for k, values in enumerate(cycles):
+        for values, row in zip(cycles, batched.rows(), strict=True):
             single = single_cycle(CycleSpec.from_values(*values))
-            assert fingerprint(*single) == fingerprint(*batched.at(k))
+            assert fingerprint(*single) == fingerprint(*row)
 
     @given(
         j_a=COUPLINGS,
@@ -368,4 +370,55 @@ class TestBatchedEvaluator:
             single = single_cycle(spec)
             assert fingerprint(point.ledger, point.mode, point.eta) == fingerprint(
                 *single
+            )
+            assert point.eta_carnot == carnot_efficiency(point.t_hot, t_cold)
+
+
+class TestDeepGapModes:
+    def test_underflowed_strokes_read_as_carnot_degenerate(self):
+        # Every stroke heat underflows to ~1e-41 or 0 while the closed-form
+        # work keeps a 6e-14 roundoff residue; its sign is not resolved.
+        spec = CycleSpec.from_values(200.0, 600.0, 2.0, 1.99)
+        ledger = assemble_ledger(spec)
+        assert 0.0 < ledger.work < 1e-12
+        assert classify_mode(ledger) is OperationMode.FORBIDDEN
+        _, mode, eta = next(_evaluate(200.0, 600.0, 2.0, 1.99).rows())
+        assert mode is OperationMode.CARNOT_DEGENERATE
+        assert eta is None
+
+    def test_unresolved_engine_is_demoted_without_a_warning(self):
+        # The heat-engine sign pattern from a 2e-13 work residue over a
+        # q_in of 3e-320: W / q_in overflows, and the cycle is demoted.
+        cycle = (
+            1937.446809528672,
+            737.5451273186727,
+            0.9920205880092144,
+            0.9920205879776861,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mode, eta = next(_evaluate(*cycle).rows())
+        assert mode is OperationMode.ACCELERATOR
+        assert eta is None
+
+    @given(
+        j_a=st.floats(min_value=-5000.0, max_value=5000.0),
+        j_b=st.floats(min_value=-5000.0, max_value=5000.0),
+        t_cold=st.floats(min_value=0.05, max_value=300.0),
+        gap=st.one_of(
+            st.sampled_from([1e-9, 1e-6]), st.floats(min_value=1e-9, max_value=9.0)
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_forbidden_sign_patterns_are_read_again(self, j_a, j_b, t_cold, gap):
+        assume(j_a != j_b)
+        t_hot = t_cold * (1.0 + gap)
+        ledger, mode, _ = next(_evaluate(j_a, j_b, t_hot, t_cold).rows())
+        assert mode is not OperationMode.FORBIDDEN
+        raw = classify_mode(ledger)
+        if raw is not OperationMode.FORBIDDEN:
+            # The sign table decides, up to the demotion of an engine
+            # whose efficiency escapes the Carnot interval.
+            assert mode is raw or (
+                raw is OperationMode.HEAT_ENGINE and mode is OperationMode.ACCELERATOR
             )

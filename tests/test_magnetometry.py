@@ -10,7 +10,7 @@ import pytest
 from importlib import resources
 
 from spin_stirling.core import Coupling
-from spin_stirling.cycle import OperationMode
+from spin_stirling.cycle import CycleSpec, OperationMode
 from spin_stirling.errors import DataFormatError, ValidationError
 from spin_stirling.magnetometry import (
     ANGLE_INTERCEPT_K,
@@ -320,6 +320,34 @@ class TestEngineCurve:
             engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [19.0])
         with pytest.raises(ValidationError):
             engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 20.0, 19.0])
+    def test_first_invalid_point_raises_its_spec_error(self, bad):
+        j_a, j_b = Coupling(-42.0), Coupling(-32.0)
+        with pytest.raises(ValidationError) as expected:
+            CycleSpec(j_a, j_b, bad, 20.0)
+        axis = [25.0, 30.0, bad, math.nan, 10.0, 40.0]
+        with pytest.raises(ValidationError) as raised:
+            engine_curve(j_a, j_b, 20.0, axis)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("t_cold", [math.nan, math.inf, 0.0, -5.0])
+    def test_invalid_cold_bath_raises_the_spec_error(self, t_cold):
+        j_a, j_b = Coupling(-42.0), Coupling(-32.0)
+        with pytest.raises(ValidationError) as expected:
+            CycleSpec(j_a, j_b, 25.0, t_cold)
+        with pytest.raises(ValidationError) as raised:
+            engine_curve(j_a, j_b, t_cold, [25.0, 30.0])
+        assert str(raised.value) == str(expected.value)
+
+    def test_rejects_a_zero_width_cycle_before_later_bad_points(self):
+        j = Coupling(-32.0)
+        with pytest.raises(ValidationError) as expected:
+            CycleSpec(j, j, 25.0, 20.0)
+        with pytest.raises(ValidationError) as raised:
+            engine_curve(j, j, 20.0, [25.0, math.nan])
+        assert str(raised.value) == str(expected.value)
+        assert "zero-width" in str(raised.value)
 
     def test_csv_layout(self):
         points = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [20.02, 26.0])

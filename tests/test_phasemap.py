@@ -7,11 +7,13 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_stirling import _kernels, phasemap
 from spin_stirling.cli import schema_text
 from spin_stirling.core import Coupling
-from spin_stirling.cycle import OperationMode
+from spin_stirling.cycle import _FORBIDDEN, OperationMode
 from spin_stirling.errors import InvariantViolation, ValidationError
 from spin_stirling.phasemap import (
     Branch,
@@ -255,6 +257,59 @@ class TestSweep:
             sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0]))
 
 
+class TestDeepGapModes:
+    """Non-flagged cells are never FORBIDDEN, even where every stroke heat
+    underflows and only a roundoff residue of the work is left."""
+
+    @pytest.mark.parametrize(
+        "branch, j_b, t_cold",
+        [
+            (Branch.B_POSITIVE, 200.0, 5.0),
+            (Branch.B_POSITIVE, 300.0, 5.0),
+            (Branch.B_POSITIVE, 3000.0, 5.0),
+            (Branch.B_NEGATIVE, -300.0, 5.0),
+        ],
+    )
+    def test_deep_gap_grids_have_no_forbidden_cells(self, branch, j_b, t_cold):
+        grid = small_grid(
+            np.linspace(-3.0, 3.0, 200),
+            np.linspace(1.0001, 3.0, 200),
+            branch=branch,
+            j_b=j_b,
+            t_cold=t_cold,
+        )
+        cells = sweep(grid)
+        assert not np.isnan(cells.work).any()
+        assert not (cells.mode_code == _FORBIDDEN).any()
+
+    @given(
+        j_b=st.floats(min_value=0.01, max_value=5000.0),
+        negative=st.booleans(),
+        t_cold=st.floats(min_value=0.05, max_value=300.0),
+        gap=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]),
+        cap=st.sampled_from([None, 2.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unflagged_cells_are_finite_and_never_forbidden(
+        self, j_b, negative, t_cold, gap, cap
+    ):
+        # |J|/T reaches 3 * 5000 / 0.05 = 3e5 and the temperature ratio
+        # starts at 1 + 1e-9; a cap of twice |j_b| flags ratios beyond 2.
+        grid = small_grid(
+            np.linspace(-3.0, 3.0, 25),
+            np.linspace(1.0 + gap, 3.0, 9),
+            branch=Branch.B_NEGATIVE if negative else Branch.B_POSITIVE,
+            j_b=-j_b if negative else j_b,
+            t_cold=t_cold,
+            cap=None if cap is None else cap * j_b,
+        )
+        cells = sweep(grid)
+        flagged = np.abs(cells.coupling_ratio * j_b) > grid.anchor.j_b.cap
+        assert not np.isnan(cells.work[~flagged]).any()
+        assert not (cells.mode_code[~flagged] == _FORBIDDEN).any()
+        assert (cells.mode_code[flagged] == _FORBIDDEN).all()
+
+
 class TestModeCell:
     def test_rejects_eta_outside_engine_mode(self):
         with pytest.raises(ValidationError):
@@ -281,7 +336,112 @@ class TestModeCell:
             )
 
 
+def reference_trace(grid, temp_ratio):
+    """The zero-work tracer with a scalar work evaluation per axis point,
+    as it stood before the axis scan became one array call."""
+    j_b = grid.anchor.j_b.j_over_kb
+    t_cold = grid.anchor.t_cold
+    t_hot = temp_ratio * t_cold
+
+    def work_at(ratio):
+        return float(_kernels.net_work(ratio * j_b, j_b, t_hot, t_cold))
+
+    axis = grid.coupling_ratio_axis
+    values = [work_at(r) for r in axis]
+    roots = [r for r, w in zip(axis, values) if w == 0.0]
+    for (a, wa), (b, wb) in zip(zip(axis, values), zip(axis[1:], values[1:])):
+        if wa == 0.0 or wb == 0.0 or (wa > 0.0) == (wb > 0.0):
+            continue
+        while (b - a) > max(
+            phasemap.ROOT_RTOL * max(abs(a), abs(b)), phasemap.ROOT_ATOL
+        ):
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break
+            wm = work_at(mid)
+            if wm == 0.0:
+                a = b = mid
+                break
+            if (wm > 0.0) == (wa > 0.0):
+                a, wa = mid, wm
+            else:
+                b, wb = mid, wm
+        roots.append(0.5 * (a + b))
+    roots.sort()
+    deduped = []
+    for root in roots:
+        if not deduped or abs(root - deduped[-1]) > 1e-12 * max(1.0, abs(root)):
+            deduped.append(root)
+    return deduped
+
+
+@st.composite
+def traced_rows(draw):
+    """A grid anchor and axis plus one temperature ratio.
+
+    Axes are either evenly spaced over [-3, 3], which puts ratio 0 on
+    the axis for odd counts, or drawn at random, sometimes with ratio 1
+    added, where the work is exactly zero.
+    """
+    magnitude = draw(st.floats(min_value=0.5, max_value=500.0))
+    branch = draw(st.sampled_from(list(Branch)))
+    j_b = -magnitude if branch is Branch.B_NEGATIVE else magnitude
+    t_cold = draw(st.floats(min_value=0.5, max_value=100.0))
+    if draw(st.booleans()):
+        axis = np.linspace(-3.0, 3.0, draw(st.integers(2, 121))).tolist()
+    else:
+        points = draw(
+            st.lists(
+                st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=60
+            )
+        )
+        if draw(st.booleans()):
+            points.append(1.0)
+        axis = sorted(set(points))
+    temp_ratio = draw(
+        st.one_of(
+            st.sampled_from([1.0 + 1e-9, 1.0 + 2e-9]),
+            st.floats(min_value=1.0 + 1e-9, max_value=10.0),
+        )
+    )
+    grid = small_grid(axis, [2.0], branch=branch, j_b=j_b, t_cold=t_cold)
+    return grid, temp_ratio
+
+
 class TestZeroWorkBoundary:
+    @given(traced_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_axis_scan_matches_scalar_work_bit_for_bit(self, row):
+        grid, temp_ratio = row
+        j_b = grid.anchor.j_b.j_over_kb
+        t_cold = grid.anchor.t_cold
+        t_hot = temp_ratio * t_cold
+        axis = grid.coupling_ratio_axis
+        batched = _kernels.net_work(np.asarray(axis) * j_b, j_b, t_hot, t_cold)
+        scalar = [float(_kernels.net_work(r * j_b, j_b, t_hot, t_cold)) for r in axis]
+        assert batched.view(np.int64).tolist() == (
+            np.array(scalar).view(np.int64).tolist()
+        )
+
+    @given(traced_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_roots_match_the_scalar_scan(self, row):
+        grid, temp_ratio = row
+        roots = trace_zero_work_boundary(grid, temp_ratio)
+        expected = reference_trace(grid, temp_ratio)
+        assert np.array(roots).view(np.int64).tolist() == (
+            np.array(expected).view(np.int64).tolist()
+        )
+
+    def test_exact_zeros_on_the_axis_match_the_scalar_scan(self):
+        # Ratio 1 gives exactly zero work; ratio 0 is an exact axis zero.
+        grid = small_grid(np.linspace(-3.0, 3.0, 7), [2.0])
+        assert 1.0 in grid.coupling_ratio_axis and 0.0 in grid.coupling_ratio_axis
+        for temp_ratio in (1.0 + 1e-9, 1.5, 2.0):
+            roots = trace_zero_work_boundary(grid, temp_ratio)
+            assert 1.0 in roots
+            assert roots == reference_trace(grid, temp_ratio)
+
     def test_frozen_roots_on_the_default_grid(self):
         grid = SweepGrid.default()
         roots = trace_zero_work_boundary(grid, 2.0)

@@ -83,6 +83,11 @@ FIT_GRADIENT_COS_TOL = 1e-6
 FIT_SCAN_HALF_WIDTH_K = 500.0
 FIT_SCAN_POINTS = 2001
 
+# Largest block of the start scan's table, in float64 elements (64 KiB).
+# One dense 2001 x N table maps and faults fresh pages on every fit;
+# blocks this small stay in cache and reuse the memory just freed.
+_SCAN_BLOCK_ELEMENTS = 8192
+
 _CSV_TEMPERATURE_COLUMN = "T_K"
 _CSV_CHI_COLUMN = "chi_emu_mol"
 
@@ -349,30 +354,58 @@ def ingest_csv(stream) -> SusceptibilityDataset:
     )
 
 
+def _scan_sse(
+    couplings: np.ndarray,
+    temperatures: np.ndarray,
+    chis: np.ndarray,
+    policy: GFactorPolicy,
+) -> np.ndarray:
+    """Sum of squared residuals of the model at each of ``couplings``.
+
+    Under a free-g policy each coupling uses its own closed-form
+    least-squares g (the model is linear in g**2).  A coupling whose
+    basis underflows to a zero Gram sum predicts zero for every g, so it
+    scores the sum of chi**2 rather than the 0/0 of the closed form.
+    """
+    shape = _kernels.susceptibility_shape(
+        couplings[:, np.newaxis], temperatures[np.newaxis, :]
+    )
+    basis = 2.0 * CURIE_CONSTANT_EMU_K_PER_MOL * shape / temperatures[np.newaxis, :]
+    if isinstance(policy, FixG):
+        model = policy.value**2 * basis
+        return ((model - chis[np.newaxis, :]) ** 2).sum(axis=1)
+    cross = (basis * chis[np.newaxis, :]).sum(axis=1)
+    gram = (basis * basis).sum(axis=1)
+    explained = np.divide(
+        cross**2,
+        gram,
+        out=np.zeros_like(gram),
+        where=gram >= np.finfo(float).tiny,
+    )
+    return (chis**2).sum() - explained
+
+
 def _scan_initial_coupling(
     temperatures: np.ndarray, chis: np.ndarray, policy: GFactorPolicy
 ) -> float:
     """Deterministic coarse scan for the starting J.
 
-    Evaluates the sum of squared residuals on a fixed grid of couplings.
-    Under a free-g policy each grid point uses its own closed-form
-    least-squares g (the model is linear in g**2), so the scan ranks
-    couplings by the best fit they could possibly achieve.
+    Evaluates the sum of squared residuals on a fixed grid of couplings
+    and starts from the best.  Under a free-g policy the scan ranks
+    couplings by the best fit they could possibly achieve.  The grid is
+    evaluated a block of rows at a time, each block at most
+    ``_SCAN_BLOCK_ELEMENTS`` elements; every row is still one reduction
+    over the whole dataset, so the result does not depend on the block
+    size.
     """
     grid = np.linspace(
         -FIT_SCAN_HALF_WIDTH_K, FIT_SCAN_HALF_WIDTH_K, FIT_SCAN_POINTS
     )
-    shape = _kernels.susceptibility_shape(
-        grid[:, np.newaxis], temperatures[np.newaxis, :]
-    )
-    basis = 2.0 * CURIE_CONSTANT_EMU_K_PER_MOL * shape / temperatures[np.newaxis, :]
-    if isinstance(policy, FixG):
-        model = policy.value**2 * basis
-        sse = ((model - chis[np.newaxis, :]) ** 2).sum(axis=1)
-    else:
-        cross = (basis * chis[np.newaxis, :]).sum(axis=1)
-        gram = (basis * basis).sum(axis=1)
-        sse = (chis**2).sum() - cross**2 / gram
+    rows = max(1, _SCAN_BLOCK_ELEMENTS // len(temperatures))
+    sse = np.concatenate([
+        _scan_sse(grid[start:start + rows], temperatures, chis, policy)
+        for start in range(0, len(grid), rows)
+    ])
     return float(grid[int(np.argmin(sse))])
 
 

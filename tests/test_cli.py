@@ -6,6 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+import spin_stirling.cli as cli
+from spin_stirling import errors
 from spin_stirling.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -282,6 +284,51 @@ class TestTopLevel:
 
     def test_unknown_subcommand_fails_validation(self):
         assert main(["warp-drive"]) == EXIT_VALIDATION
+
+
+class TestExitCodes:
+    # Every error type a command can raise, and the exit code it maps to;
+    # None means the error is a package bug and propagates uncaught.
+    TABLE = [
+        (errors.ValidationError, EXIT_VALIDATION),
+        (errors.OverflowCapError, EXIT_VALIDATION),
+        (errors.ModeError, EXIT_VALIDATION),
+        (errors.SpinStirlingError, EXIT_VALIDATION),
+        (errors.DataFormatError, EXIT_DATA),
+        (OSError, EXIT_IO),
+        (FileNotFoundError, EXIT_IO),
+        (PermissionError, EXIT_IO),
+        (errors.InvariantViolation, None),
+    ]
+
+    def test_table_covers_every_package_error(self):
+        package_errors = {
+            getattr(errors, name)
+            for name in errors.__all__
+            if issubclass(getattr(errors, name), Exception)
+            and not issubclass(getattr(errors, name), Warning)
+        }
+        assert package_errors <= {error for error, _ in self.TABLE}
+
+    @pytest.mark.parametrize(
+        "error, code", TABLE, ids=[error.__name__ for error, _ in TABLE]
+    )
+    def test_error_maps_to_its_exit_code(
+        self, error, code, tmp_path, monkeypatch, capsys
+    ):
+        def failing_fit(*_args):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "fit_bleaney_bowers", failing_fit)
+        args = ["fit", "--data", str(write_synthetic_data(tmp_path / "chi.csv"))]
+        if code is None:
+            with pytest.raises(error, match="injected failure"):
+                main(args)
+            return
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: injected failure\n"
 
 
 class TestRepeatedCalls:

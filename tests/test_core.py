@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spin_stirling.constants import CURIE_CONSTANT_EMU_K_PER_MOL
+from spin_stirling.constants import (
+    CURIE_CONSTANT_EMU_K_PER_MOL,
+    DEFAULT_COUPLING_CAP_K,
+    ORACLE_EXPONENT_CAP,
+)
 from spin_stirling.core import (
     Coupling,
     PopulationVector,
@@ -290,6 +294,32 @@ class TestGibbsOracle:
         # The stable kernels keep working where diagonalization refuses.
         assert dimensionless_susceptibility(point(1.0e4, 1.0)) == 0.0
         assert entropy(point(-1.0e4, 0.5)) == pytest.approx(math.log(3.0), abs=1e-12)
+
+
+@given(
+    t=st.floats(
+        min_value=1e-6, max_value=DEFAULT_COUPLING_CAP_K / ORACLE_EXPONENT_CAP
+    ),
+    reach=st.floats(min_value=0.0, max_value=1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_oracle_refuses_beyond_its_cap_where_closed_forms_stay_finite(t, reach, sign):
+    # |J| spans from the oracle's cap at this temperature to the coupling cap.
+    low = ORACLE_EXPONENT_CAP * t
+    j = sign * min(low + reach * (DEFAULT_COUPLING_CAP_K - low), DEFAULT_COUPLING_CAP_K)
+    assume(abs(j) / t > ORACLE_EXPONENT_CAP)
+    pt = ThermalPoint(Coupling(j), t)
+    with pytest.raises(OverflowCapError):
+        gibbs_oracle(pt)
+    pops = populations(pt)
+    s = entropy(pt)
+    u = internal_energy(pt)
+    assert all(math.isfinite(p) for p in pops.as_tuple())
+    assert math.isfinite(s) and math.isfinite(u)
+    # Deep in the gap the ground manifold holds the whole population.
+    ground = math.log(3.0) if j < 0 else 0.0
+    assert s == pytest.approx(ground, abs=1e-12)
 
 
 @given(

@@ -4,11 +4,17 @@ pressure-axis helpers built on top of the fit."""
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from importlib import resources
 
+import spin_stirling.magnetometry as mag
+from spin_stirling import _kernels
+from spin_stirling.constants import CURIE_CONSTANT_EMU_K_PER_MOL
 from spin_stirling.core import Coupling
 from spin_stirling.cycle import CycleSpec, OperationMode
 from spin_stirling.errors import DataFormatError, ValidationError
@@ -48,6 +54,33 @@ def synthetic_csv(j, g, temps=None, header="T_K,chi_emu_mol", extra_lines=()):
 
 def bundled(name):
     return resources.files("spin_stirling").joinpath("data", name).read_bytes()
+
+
+BUNDLED_DATASETS = ("cu2_dimer_ambient.csv", "cu2_dimer_0p84gpa.csv")
+
+
+def one_shot_scan_sse(temperatures, chis, policy):
+    """The start scan's sum-of-squares table evaluated as one dense array.
+
+    The free-g rows whose Gram sum is below the smallest normal float
+    score the sum of chi**2, the zero-basis rule; every other row is the
+    closed form as written.
+    """
+    grid = np.linspace(
+        -mag.FIT_SCAN_HALF_WIDTH_K, mag.FIT_SCAN_HALF_WIDTH_K, mag.FIT_SCAN_POINTS
+    )
+    shape = _kernels.susceptibility_shape(
+        grid[:, np.newaxis], temperatures[np.newaxis, :]
+    )
+    basis = 2.0 * CURIE_CONSTANT_EMU_K_PER_MOL * shape / temperatures[np.newaxis, :]
+    if isinstance(policy, FixG):
+        model = policy.value**2 * basis
+        return grid, ((model - chis[np.newaxis, :]) ** 2).sum(axis=1)
+    cross = (basis * chis[np.newaxis, :]).sum(axis=1)
+    gram = (basis * basis).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (chis**2).sum() - cross**2 / gram
+    return grid, np.where(gram < np.finfo(float).tiny, (chis**2).sum(), sse)
 
 
 class TestIngestion:
@@ -267,6 +300,97 @@ class TestFitting:
         res = fit_bleaney_bowers(ds, FixG(2.1))
         parsed = json.loads(fit_report_json(res, ds))
         assert parsed["pressure_GPa"] is None
+
+
+class TestStartScan:
+    @staticmethod
+    def recorded_scan(monkeypatch, temperatures, chis, policy):
+        """Run the scan, returning its start J and the blocks it evaluated."""
+        blocks = []
+
+        def recording(couplings, *args):
+            sse = scan_sse(couplings, *args)
+            blocks.append((couplings, sse))
+            return sse
+
+        scan_sse = mag._scan_sse
+        monkeypatch.setattr(mag, "_scan_sse", recording)
+        return mag._scan_initial_coupling(temperatures, chis, policy), blocks
+
+    @given(
+        n_points=st.integers(min_value=5, max_value=9000),
+        t_low=st.floats(min_value=0.05, max_value=50.0),
+        t_span=st.floats(min_value=0.5, max_value=400.0),
+        j=st.floats(min_value=-300.0, max_value=300.0),
+        g=st.floats(min_value=1.8, max_value=2.4),
+        noise_seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+        free_g=st.booleans(),
+        scan_points=st.integers(min_value=2, max_value=mag.FIT_SCAN_POINTS),
+    )
+    @example(8193, 0.1, 0.5, -0.5, 2.05, None, True, 9)
+    @example(9000, 20.0, 330.0, -32.0, 2.1, 3, False, 5)
+    @example(67, 20.0, 330.0, -32.0, 2.1, 7, True, mag.FIT_SCAN_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_table_equals_the_one_shot_table_bit_for_bit(
+        self, n_points, t_low, t_span, j, g, noise_seed, free_g, scan_points
+    ):
+        # Keep the one-shot oracle's dense table near 2 MB.
+        scan_points = min(scan_points, max(2, 250_000 // n_points))
+        temperatures = np.linspace(t_low, t_low + t_span, n_points)
+        chis = bleaney_bowers_chi(temperatures, j, g)
+        if noise_seed is not None:
+            rng = np.random.default_rng(noise_seed)
+            chis = chis * (1.0 + 0.01 * rng.standard_normal(n_points))
+        policy = FreeG() if free_g else FixG(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mag, "FIT_SCAN_POINTS", scan_points)
+            grid, expected = one_shot_scan_sse(temperatures, chis, policy)
+            start, blocks = self.recorded_scan(patch, temperatures, chis, policy)
+
+        rows = max(1, mag._SCAN_BLOCK_ELEMENTS // n_points)
+        assert all(len(couplings) <= rows for couplings, _ in blocks)
+        assert len(blocks) == -(-scan_points // rows)
+        couplings = np.concatenate([c for c, _ in blocks])
+        sse = np.concatenate([s for _, s in blocks])
+        assert np.array_equal(couplings.view(np.int64), grid.view(np.int64))
+        assert np.array_equal(sse.view(np.int64), expected.view(np.int64))
+        assert start == grid[int(np.argmin(expected))]
+
+    @pytest.mark.parametrize("name", BUNDLED_DATASETS)
+    @pytest.mark.parametrize("policy", [FixG(), FreeG()], ids=["fix_g", "free_g"])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_block_size_does_not_change_the_fit(
+        self, monkeypatch, name, policy, block_rows
+    ):
+        ds = ingest_csv(bundled(name))
+        grid, expected = one_shot_scan_sse(ds.temperatures, ds.chis, policy)
+        report = fit_report_json(fit_bleaney_bowers(ds, policy), ds)
+        monkeypatch.setattr(
+            mag, "_SCAN_BLOCK_ELEMENTS", block_rows * len(ds.points)
+        )
+        start, blocks = self.recorded_scan(
+            monkeypatch, ds.temperatures, ds.chis, policy
+        )
+        assert start == grid[int(np.argmin(expected))]
+        sizes = [len(couplings) for couplings, _ in blocks]
+        assert sizes[:-1] == [block_rows] * (len(blocks) - 1)
+        assert 1 <= sizes[-1] <= block_rows
+        assert fit_report_json(fit_bleaney_bowers(ds, policy), ds) == report
+
+    @pytest.mark.parametrize("j_true", [-0.5, 0.3, -2.0])
+    def test_free_g_recovers_a_sub_kelvin_dataset(self, j_true):
+        # Most scan couplings leave every basis value of these sub-kelvin
+        # points at or below 1e-162, so their Gram sum underflows to zero.
+        temps = np.linspace(0.1, 0.6, 20)
+        chis = bleaney_bowers_chi(temps, j_true, 2.05)
+        ds = SusceptibilityDataset(points=tuple(zip(temps.tolist(), chis.tolist())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_bleaney_bowers(ds, FreeG())
+        assert res.converged
+        assert res.iterations > 0
+        assert res.j_over_kb == pytest.approx(j_true, rel=1e-9)
+        assert res.g == pytest.approx(2.05, rel=1e-9)
 
 
 class TestBridgingAngle:

@@ -159,8 +159,6 @@ def _load_config_section(path: str, section: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ValidationError(f"cannot parse config file {path}: {exc}") from exc
     if not parser.has_section(section):
@@ -300,6 +298,8 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     resolved = _resolve_params(ns, "fit")
     if resolved["fix_g"] is not None and resolved["free_g"]:
         raise ValidationError("--fix-g and --free-g are mutually exclusive")
+    if resolved["g_init"] is not None and not resolved["free_g"]:
+        raise ValidationError("--g-init applies only with --free-g")
     if resolved["free_g"]:
         policy = (
             FreeG(resolved["g_init"]) if resolved["g_init"] is not None else FreeG()

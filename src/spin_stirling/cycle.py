@@ -18,11 +18,11 @@ package invariant.
 Classification into operational modes follows the second-law-allowed
 sign patterns of (W, Q_in, Q_out), with a tolerance band around the
 all-zero Carnot degeneracy.  Any other sign pattern is reported as
-``FORBIDDEN`` by :func:`classify_mode`; no physical operating regime
-produces one.  The evaluator re-reads such a pattern with every sign
-below the roundoff floor of the state functions taken as zero.  A
-heat-engine sign pattern whose efficiency escapes the Carnot interval
-can only be unresolved roundoff and is classified as an accelerator.
+``FORBIDDEN``; no physical operating regime produces one.  The sign of
+W counts only above the roundoff floor of the state functions, and the
+Carnot band is never narrower than that floor.  A heat-engine sign
+pattern whose efficiency escapes the Carnot interval can only be
+unresolved roundoff and is classified as an accelerator.
 
 Single cycles, engine curves and mode maps all go through one batched
 evaluator, :func:`_evaluate`, so they share these checks and rules.
@@ -279,9 +279,13 @@ _SIGN_TABLE = np.full(8, _FORBIDDEN, dtype=np.int8)
 _SIGN_TABLE[[0b000, 0b001, 0b010, 0b110]] = (_HEATER, _FRIDGE, _ACCEL, _ENGINE)
 
 
-def _classify(work, q_in, q_out, tolerance):
-    """Elementwise mode codes from the sign table and the Carnot band."""
-    codes = _SIGN_TABLE[4 * (work > 0.0) + 2 * (q_in > 0.0) + (q_out > 0.0)]
+def _classify(work, q_in, q_out, tolerance, floor=0.0):
+    """Elementwise mode codes from the sign table and the Carnot band.
+
+    A work no larger than ``floor`` reads as zero; ``tolerance`` must be
+    at least ``floor``.
+    """
+    codes = _SIGN_TABLE[4 * (work > floor) + 2 * (q_in > 0.0) + (q_out > 0.0)]
     carnot = (
         (np.abs(work) <= tolerance)
         & (np.abs(q_in) <= tolerance)
@@ -325,19 +329,16 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
     Comparisons with NaN are false, so NaN inputs (the sweep's cells
     beyond the coupling cap) yield NaN cells that the checks pass over.
 
-    Modes follow :func:`classify_mode` with its default Carnot band.
-    Two rules then resolve what roundoff leaves.  A forbidden sign
-    pattern, which the second law rules out for every resolvable cycle,
-    is read again with a net work inside the roundoff floor taken as
-    zero and the Carnot band widened to the floor; when every stroke
-    heat underflows, the closed-form work keeps a residue of that order
-    whose sign means nothing.  A cycle showing the heat-engine sign
-    pattern whose ``eta / eta_carnot`` escapes (0, 1) contradicts the
-    Carnot theorem, which holds analytically for every resolvable
-    cycle; it can only mean the net work is below the roundoff floor at
-    this conditioning.  Such a cycle is demoted to the (0, +, -)
-    accelerator convention that an exactly zero-width stroke produces,
-    and carries no efficiency.
+    Modes follow the sign table of :func:`classify_mode`, with a net
+    work inside the roundoff floor read as zero and the Carnot band
+    widened to the floor: when every stroke heat underflows, the
+    closed-form work keeps a residue of that order whose sign means
+    nothing.  A cycle showing the heat-engine sign pattern whose
+    ``eta / eta_carnot`` escapes (0, 1) contradicts the Carnot theorem,
+    which holds analytically for every resolvable cycle; it can only
+    mean the work is unresolved at this conditioning.  Such a cycle is
+    demoted to the (0, +, -) accelerator convention that an exactly
+    zero-width stroke produces, and carries no efficiency.
 
     ``eta_carnot`` defaults to ``1 - t_cold / t_hot``; the sweep passes
     its own ``1 - 1 / temp_ratio`` so that the demotion test and its
@@ -374,13 +375,7 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
             f"q_da={float(q_da[k])!r} (expected >= 0)"
         )
 
-    code = _classify(work, q_in, q_out, band)
-    forbidden = code == _FORBIDDEN
-    if forbidden.any():
-        resolved = _classify(
-            np.where(np.abs(work) <= floor, 0.0, work), q_in, q_out, sign_slack
-        )
-        code = np.where(forbidden, resolved, code)
+    code = _classify(work, q_in, q_out, sign_slack, floor)
     if eta_carnot is None:
         eta_carnot = 1.0 - np.divide(t_cold, t_hot)
     engine = code == _ENGINE
@@ -459,15 +454,8 @@ def classify_mode(
     example positive work with negative absorbed heat) cannot arise from
     the physics and is returned as ``FORBIDDEN``.
 
-    The ledger alone does not carry the roundoff floor of its operands
-    (see :func:`_roundoff_floor`), so this function reads every sign
-    against ``tolerance`` only.  The evaluator behind
-    :func:`assemble_ledger`, engine curves and sweeps reads a forbidden
-    pattern again with a work below that floor taken as zero and the
-    band widened to it, and demotes unresolved heat engines to
-    accelerators; for a deeply gapped or near-degenerate cycle its mode
-    can therefore differ from what this function returns for the same
-    ledger.
+    This is the evaluator's sign rule with a roundoff floor of zero,
+    because a ledger does not carry the floor of its operands.
 
     Parameters
     ----------

@@ -207,6 +207,17 @@ class TestFitCommand:
         args = ["fit", "--data", str(data), "--fix-g", "2.0", "--free-g"]
         assert main(args) == EXIT_VALIDATION
 
+    def test_g_init_requires_free_g(self, tmp_path, capsys):
+        data = write_synthetic_data(tmp_path / "chi.csv")
+        assert main(["fit", "--data", str(data), "--g-init", "1.7"]) == EXIT_VALIDATION
+        config = tmp_path / "fit.ini"
+        config.write_text(f"[fit]\ndata = {data}\ng_init = 1.7\n")
+        assert main(["fit", "--config", str(config)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("--g-init applies only with --free-g") == 2
+        assert main(["fit", "--config", str(config), "--free-g"]) == EXIT_OK
+
     def test_nonpositive_fixed_g_fails_validation(self, tmp_path):
         data = write_synthetic_data(tmp_path / "chi.csv")
         assert main(["fit", "--data", str(data), "--fix-g", "0"]) == EXIT_VALIDATION

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from spin_stirling import _kernels, phasemap
 from spin_stirling.cli import schema_text
 from spin_stirling.core import Coupling
-from spin_stirling.cycle import _FORBIDDEN, OperationMode
+from spin_stirling.cycle import (
+    _CARNOT,
+    _ENGINE,
+    _FORBIDDEN,
+    OperationMode,
+    _roundoff_floor,
+)
 from spin_stirling.errors import InvariantViolation, ValidationError
 from spin_stirling.phasemap import (
     Branch,
@@ -308,6 +314,36 @@ class TestDeepGapModes:
         assert not np.isnan(cells.work[~flagged]).any()
         assert not (cells.mode_code[~flagged] == _FORBIDDEN).any()
         assert (cells.mode_code[flagged] == _FORBIDDEN).all()
+
+    @given(
+        j_b=st.floats(min_value=0.01, max_value=5000.0),
+        negative=st.booleans(),
+        t_cold=st.floats(min_value=0.05, max_value=300.0),
+        gap=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_unflagged_mode_reads_a_sign_below_the_roundoff_floor(
+        self, j_b, negative, t_cold, gap
+    ):
+        j_b = -j_b if negative else j_b
+        grid = small_grid(
+            np.linspace(-3.0, 3.0, 25),
+            np.linspace(1.0 + gap, 3.0, 9),
+            branch=Branch.B_NEGATIVE if negative else Branch.B_POSITIVE,
+            j_b=j_b,
+            t_cold=t_cold,
+            cap=2.0 * abs(j_b),
+        )
+        cells = sweep(grid)
+        j_a = cells.coupling_ratio * j_b
+        keep = np.abs(j_a) <= grid.anchor.j_b.cap
+        floor = _roundoff_floor(j_a, j_b, cells.temp_ratio * t_cold, t_cold)[keep]
+        work, mode = cells.work[keep], cells.mode_code[keep]
+        largest = np.max(np.abs([work, cells.q_in[keep], cells.q_out[keep]]), axis=0)
+        assert (mode[largest <= floor] == _CARNOT).all()
+        engine = mode == _ENGINE
+        assert (work[engine] > floor[engine]).all()
+        assert not (mode == _FORBIDDEN).any()
 
 
 class TestModeCell:

@@ -1,0 +1,232 @@
+"""Python's ``%.17g`` text for arrays of doubles, computed by numpy.
+
+Exports write every float as ``%.17g`` (17 significant digits, exact
+under roundtrip).  Formatting each value through Python would cost most
+of a mode-map export, so :func:`_format_17g` produces the same bytes for
+a whole array at once and hands Python only the values it cannot
+certify.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+#: Decimal scales p of the power-of-ten table.  A double whose |x| * 10**p
+#: falls in [1e16, 1e17) for some p in this range is formatted by
+#: :func:`_format_17g` itself; hi and lo of every entry are normal
+#: doubles, and no intermediate product can overflow.
+_P_MIN, _P_MAX = -270, 300
+#: 2**27 + 1: Veltkamp's constant, which splits a double into two halves
+#: whose pairwise products are exact.
+_SPLITTER = 134217729.0
+#: How far from 0.5 the scaled fraction must be for its rounding to be
+#: trusted; the double-double product is off by less than 1e-14 units of
+#: the 17th digit.
+_TIE_SLACK = 1e-9
+
+
+def _split(a):
+    """Two halves of ``a`` whose sum is ``a`` exactly."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Columns (hi, hi's high half, hi's low half, lo), p from _P_MIN to _P_MAX.
+
+    hi is 10**p rounded to a double and lo is the remainder rounded to a
+    double, so hi + lo is 10**p to about 2**-106.  Both come from exact
+    integers: int-to-float conversion and int true division are
+    correctly rounded.
+    """
+    rows = []
+    for p in range(_P_MIN, _P_MAX + 1):
+        if p >= 0:
+            hi = float(10**p)
+            lo = float(10**p - int(hi))
+        else:
+            den = 10**-p
+            hi = 1 / den
+            num, pow2 = hi.as_integer_ratio()
+            lo = (pow2 - num * den) / (pow2 * den)
+        rows.append((hi, *_split(hi), lo))
+    return np.array(rows).T.copy()
+
+
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as one uint32 each, and how many
+    of them are trailing zeros."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)
+    text = np.ascontiguousarray(digits.T) + np.uint8(ord("0"))
+    zeros = np.cumprod(digits[::-1] == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
+    return text.view(np.uint32).ravel(), zeros
+
+
+_POWERS_OF_TEN = _powers_of_ten()
+_QUADS, _TRAILING_ZEROS = _digit_groups()
+
+# Columns of the per-value source bytes that layouts gather from: the
+# 17 digits are preceded by three '0' bytes (the first of four 4-digit
+# groups), then come the exponent's four digits and its sign, and the
+# constant bytes.
+_DIGIT = 3  # the first significant digit; column 0 is a '0'
+_EXP_DIGITS = 20  # '0', hundreds, tens, ones
+_EXP_SIGN = 24
+_MINUS, _POINT, _E, _NUL = 25, 26, 27, 28
+_SOURCE_WIDTH = 29
+_TEXT_WIDTH = 24  # the longest %.17g text, "-1.2345678901234567e-100"
+
+# A layout is a sign and a form: fixed notation with decimal exponent
+# X in -4..16 (forms 0..20), or exponent notation with a two- or
+# three-digit exponent (forms 21 and 22).  Fixed text ends in its
+# digits, so one gather, cut at the text's length, serves every count k
+# of significant digits left after trailing zeros are stripped; in
+# exponent notation the exponent moves left as k falls, so there k is
+# part of the layout too.
+_FIXED_FORMS = 21
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather columns per layout; layout and text length per (sign, form, k).
+
+    k runs from 1 to 17; the k = 0 entries are padding.
+    """
+    gathers, layout, length = [], [], []
+    digits = list(range(_DIGIT, _DIGIT + 17))
+    for sign in ([], [_MINUS]):
+        for form in range(_FIXED_FORMS + 2):
+            x = form - 4
+            for k in range(18):
+                if form >= _FIXED_FORMS:  # d[.ddd]e+XX, or e+XXX when wide
+                    wide = form > _FIXED_FORMS
+                    mantissa = digits[:1] + ([_POINT] + digits[1:k] if k > 1 else [])
+                    exponent = list(range(_EXP_DIGITS + 2 - wide, _EXP_DIGITS + 4))
+                    cols = mantissa + [_E, _EXP_SIGN] + exponent
+                    size = len(cols)
+                elif x >= 0:  # ddd[.ddd]
+                    cols = digits[: x + 1] + [_POINT] + digits[x + 1 :]
+                    size = k + 1 if k > x + 1 else x + 1
+                else:  # 0.[000]ddd
+                    cols = [0, _POINT] + [0] * (-x - 1) + digits
+                    size = 1 - x + k
+                if form >= _FIXED_FORMS or k == 0:
+                    gathers.append(sign + cols)
+                layout.append(len(gathers) - 1)
+                length.append(len(sign) + size)
+    gathers = [(cols + [_NUL] * _TEXT_WIDTH)[:_TEXT_WIDTH] for cols in gathers]
+    return np.array(gathers, np.intp), np.array(layout, np.int8), np.array(length, np.int8)
+
+
+_GATHERS, _LAYOUT, _LENGTH = _layouts()
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a * 10**p) and its fraction, from a double-double product.
+
+    Correct to well under _TIE_SLACK where the product lies in
+    [1e16, 1e17); there its high part is an integer.
+    """
+    hi, hi_high, hi_low, lo = _POWERS_OF_TEN.take(p - _P_MIN, axis=1)
+    a_high, a_low = _split(a)
+    y = a * hi
+    # Dekker's exact remainder of a * hi, plus the low-order term a * lo.
+    rest = ((a_high * hi_high - y) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest += a * lo
+    whole = np.floor(rest)
+    return y.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _decimal_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The certified 17-digit rounding of each value, as bytes to lay out.
+
+    Returns a mask of the values whose rounding is certified, the
+    (len(x), _SOURCE_WIDTH) source bytes of every value, and each
+    value's index into _LAYOUT and _LENGTH.
+    """
+    a = np.abs(x)
+    ok = (a >= 10.0 ** (16 - _P_MAX)) & (a < 10.0 ** (17 - _P_MIN))
+    a[~ok] = 1.0
+    p = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), _P_MIN, _P_MAX)
+    n, fraction = _scaled(a, p)
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if len(off):
+        p[off] = np.clip(p[off] + np.where(n[off] < 10**16, 1, -1), _P_MIN, _P_MAX)
+        n[off], fraction[off] = _scaled(a[off], p[off])
+    ok &= (n >= 10**16) & (n < 10**17) & (np.abs(fraction - 0.5) > _TIE_SLACK)
+    n += fraction > 0.5
+    carry = n == 10**17
+    n[carry] = 10**16
+    exponent = 16 - p + carry
+
+    # The digits as five 4-digit groups; the first group is "000" + d1.
+    source = np.empty((len(x), _SOURCE_WIDTH), np.uint8)
+    high, low = np.divmod(n, 10**8)
+    group0, group2 = np.divmod(high.astype(np.uint32), np.uint32(10**4))
+    group0, group1 = np.divmod(group0, np.uint32(10**4))
+    group3, group4 = np.divmod(low.astype(np.uint32), np.uint32(10**4))
+    quads = source[:, :20].view(np.uint32)
+    for column, group in enumerate((group0, group1, group2, group3, group4)):
+        quads[:, column] = _QUADS.take(group)
+    source[:, _EXP_DIGITS : _EXP_DIGITS + 4].view(np.uint32)[:, 0] = _QUADS.take(
+        np.abs(exponent)
+    )
+    source[:, _EXP_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
+    source[:, _MINUS:] = np.frombuffer(b"-.e\0", np.uint8)
+
+    # Significant digits left once trailing zeros are stripped; d1 > 0.
+    zeros = _TRAILING_ZEROS.take(group4)
+    more = np.flatnonzero(group4 == 0)
+    if len(more):
+        g1, g2, g3 = group1[more], group2[more], group3[more]
+        zeros[more] += _TRAILING_ZEROS.take(g3) + (g3 == 0) * (
+            _TRAILING_ZEROS.take(g2) + (g2 == 0) * _TRAILING_ZEROS.take(g1)
+        )
+    form = np.where(
+        (exponent >= -4) & (exponent < 17),
+        exponent + 4,
+        _FIXED_FORMS + (np.abs(exponent) >= 100),
+    )
+    row = (np.signbit(x) * (_FIXED_FORMS + 2) + form) * 18 + (17 - zeros)
+    return ok, source, row
+
+
+def _format_17g(values: np.ndarray) -> list[bytes]:
+    """``[b"%.17g" % v for v in values]``, vectorized, byte for byte.
+
+    Each value's 17 significant digits are the correctly rounded
+    integer part of |x| * 10**p, computed as a double-double product
+    with a table of powers of ten; p comes from ``log10`` and is
+    corrected by one decade when the unrounded product leaves
+    [1e16, 1e17).  A rounding is accepted only when the scaled fraction
+    is more than _TIE_SLACK from 0.5.  Zero, non-finite values, values
+    outside the table's range and near-ties (including exact decimal
+    ties, which round half to even) are formatted by Python instead.
+
+    The text is gathered from each value's digit, exponent and sign
+    bytes by a column permutation per layout (sign, fixed decimal-point
+    position or exponent form), with values grouped by layout through
+    one stable argsort, and cut to length with NUL padding that the
+    ``S24`` view's ``tolist`` strips.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not len(x):
+        return []
+    ok, source, row = _decimal_bytes(x)
+    layout = _LAYOUT.take(row)
+    order = np.argsort(layout, kind="stable")
+    layout = layout.take(order)
+    source = source.take(order, axis=0)
+    cuts = (np.flatnonzero(np.diff(layout)) + 1).tolist()
+    text = np.empty((len(x), _TEXT_WIDTH), np.uint8)
+    for start, stop in zip([0, *cuts], [*cuts, len(x)]):
+        text[start:stop] = source[start:stop, _GATHERS[layout[start]]]
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(len(order))
+    text = text.take(unsort, axis=0)
+    text *= np.arange(_TEXT_WIDTH, dtype=np.int8) < _LENGTH.take(row)[:, np.newaxis]
+    texts = text.view(f"S{_TEXT_WIDTH}").ravel().tolist()
+    for k in np.flatnonzero(~ok).tolist():
+        texts[k] = b"%.17g" % x[k]
+    return texts

@@ -42,6 +42,7 @@ from .cycle import (
     StrokeLedger,
     _evaluate_cycles,
 )
+from ._format import _format_17g
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -585,26 +586,28 @@ def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:
     """Serialize an engine curve with energies converted to eV.
 
     Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
-    eta_carnot, mode.  A missing efficiency (non-engine point) is an
-    empty field.
+    eta_carnot, mode.  Floats are written as ``%.17g``.  A missing
+    efficiency (non-engine point) is an empty field.
     """
     if not points:
         raise ValidationError("engine_curve_csv requires a non-empty curve")
-    lines = [
-        "T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode"
-    ]
-    for point in points:
-        ledger = point.ledger
-        fields = [
-            "%.17g" % point.t_hot,
-            "%.17g" % (ledger.q_ab * KB_EV_PER_K),
-            "%.17g" % (ledger.q_bc * KB_EV_PER_K),
-            "%.17g" % (ledger.q_cd * KB_EV_PER_K),
-            "%.17g" % (ledger.q_da * KB_EV_PER_K),
-            "%.17g" % (ledger.work * KB_EV_PER_K),
-            "" if point.eta is None else "%.17g" % point.eta,
-            "%.17g" % point.eta_carnot,
-            point.mode.token,
+    values = np.array(
+        [
+            (
+                point.t_hot, point.ledger.q_ab, point.ledger.q_bc,
+                point.ledger.q_cd, point.ledger.q_da, point.ledger.work,
+                math.nan if point.eta is None else point.eta, point.eta_carnot,
+            )
+            for point in points
         ]
-        lines.append(",".join(fields))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    )
+    values[:, 1:6] *= KB_EV_PER_K
+    fields = _format_17g(values)
+    width = values.shape[1]
+    lines = [b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode"]
+    for k, point in enumerate(points):
+        row = fields[k * width : (k + 1) * width]
+        if point.eta is None:
+            row[6] = b""
+        lines.append(b",".join([*row, point.mode.token.encode()]))
+    return b"\n".join(lines) + b"\n"

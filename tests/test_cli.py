@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -295,6 +299,25 @@ class TestTopLevel:
 
     def test_unknown_subcommand_fails_validation(self):
         assert main(["warp-drive"]) == EXIT_VALIDATION
+
+    def test_import_leaves_fractions_and_decimal_unloaded(self):
+        # Import time is paid by every console call; the export formatter's
+        # power-of-ten table is built with int arithmetic, not Fraction.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        code = (
+            "import sys, spin_stirling.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestExitCodes:

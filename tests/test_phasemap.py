@@ -800,6 +800,16 @@ class TestReadCellsErrors:
         with pytest.raises(ValidationError, match="must be absent"):
             read_cells("\n".join(present).encode(), format="csv")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_that_are_not_utf8_are_a_validation_error(self, cells, fmt):
+        data = export(cells, format=fmt)
+        with pytest.raises(ValidationError, match="byte 40"):
+            read_cells(data[:40] + b"\xff" + data[40:], format=fmt)
+
+    def test_unknown_format_is_rejected_before_decoding(self):
+        with pytest.raises(ValidationError, match="unknown export format 'yaml'"):
+            read_cells(b"\xff", format="yaml")
+
     def test_json_drops_efficiency_off_engine_rows(self, cells):
         rows = json.loads(export(cells, format="json"))
         for row in rows:

@@ -1,15 +1,39 @@
-"""Python's ``%.17g`` text for arrays of doubles, computed by numpy.
+"""The package's file boundary: text decoding, file writes and float text.
 
-Exports write every float as ``%.17g`` (17 significant digits, exact
-under roundtrip).  Formatting each value through Python would cost most
-of a mode-map export, so :func:`_format_17g` produces the same bytes for
-a whole array at once and hands Python only the values it cannot
-certify.
+:func:`decode` turns input bytes into text and :func:`write` puts output
+bytes in a file; both raise the package's typed errors, so every reader
+and writer fails the same way.  Exports write every float as ``%.17g``
+(17 significant digits, exact under roundtrip).  Formatting each value
+through Python would cost most of a mode-map export, so
+:func:`_format_17g` produces the same bytes for a whole array at once
+and hands Python only the values it cannot certify.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
+
+
+def decode(data: bytes, error_type: type[Exception], what: str) -> str:
+    """``data`` as UTF-8 text; bad bytes raise ``error_type`` with their offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_type(
+            f"{what} is not UTF-8: byte {exc.start} ({exc.reason})"
+        ) from None
+
+
+def write(path: str, chunks: Iterable[bytes], what: str) -> None:
+    """Write ``chunks`` to ``path``; an OS error names ``what`` and the path."""
+    try:
+        with open(path, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {what}: {exc.strerror}", path) from exc
 
 
 #: Decimal scales p of the power-of-ten table.  A double whose |x| * 10**p

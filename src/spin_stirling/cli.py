@@ -21,8 +21,8 @@ import argparse
 import configparser
 import dataclasses
 import importlib.resources
+import io
 import json
-import math
 import sys
 from typing import Any, Callable, Sequence
 
@@ -30,11 +30,11 @@ import numpy as np
 
 from .constants import KB_EV_PER_K
 from .core import Coupling
+from ._format import decode, write
 from .cycle import CycleSpec, OperationMode, _evaluate_cycles, carnot_efficiency
 from .errors import (
     DataFormatError,
     InvariantViolation,
-    ModeError,
     SpinStirlingError,
     ValidationError,
 )
@@ -84,9 +84,9 @@ class _Param:
     required: bool = False
     help: str | None = None
 
-    @property
-    def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_bool(text: str) -> bool:
@@ -142,44 +142,32 @@ _CURVE_PARAMS = (
     _Param("out", str, required=True, help="output CSV path"),
 )
 
-#: Subcommand name -> (help line, parameters).
-_COMMANDS = {
-    "cycle": ("evaluate one Stirling cycle", _CYCLE_PARAMS),
-    "sweep": ("write a mode map over the ratio plane", _SWEEP_PARAMS),
-    "fit": ("fit a susceptibility CSV", _FIT_PARAMS),
-    "engine-curve": (
-        "tabulate the cycle against the hot-bath temperature",
-        _CURVE_PARAMS,
-    ),
-}
-
 
 def _load_config_section(path: str, section: str) -> dict[str, str]:
     parser = configparser.ConfigParser()
+    with open(path, "rb") as handle:
+        text = decode(handle.read(), ValidationError, f"config file {path}")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle, source=path)
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as exc:
         raise ValidationError(f"cannot parse config file {path}: {exc}") from exc
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+    return dict(parser.items(section)) if parser.has_section(section) else {}
 
 
-def _resolve_params(ns: argparse.Namespace, command: str) -> dict[str, Any]:
+def _resolve_params(
+    ns: argparse.Namespace, command: str, params: tuple[_Param, ...]
+) -> dict[str, Any]:
     """Merge defaults, config-file values, and explicit flags.
 
     Precedence, lowest to highest: built-in default, config file
     section, command-line flag.  Unknown config keys are rejected so a
     typo cannot silently fall back to a default.
     """
-    _, params = _COMMANDS[command]
     by_name = {p.name: p for p in params}
     resolved: dict[str, Any] = {p.name: p.default for p in params}
 
-    config_path = getattr(ns, "config", None)
-    if config_path is not None:
-        section = _load_config_section(config_path, command)
+    if ns.config is not None:
+        section = _load_config_section(ns.config, command)
         for key, raw in section.items():
             if key not in by_name:
                 raise ValidationError(
@@ -201,16 +189,34 @@ def _resolve_params(ns: argparse.Namespace, command: str) -> dict[str, Any]:
 
     for param in params:
         if param.required and resolved[param.name] is None:
-            raise ValidationError(f"missing required parameter {param.flag}")
+            raise ValidationError(f"missing required parameter {_flag(param.name)}")
     return resolved
 
 
-def _echo_lines(resolved: dict[str, Any]) -> list[str]:
-    return [f"# {key} = {value!r}" for key, value in resolved.items()]
+def _echo(values: dict[str, Any], file=None) -> None:
+    for key, value in values.items():
+        print(f"# {key} = {value!r}", file=file)
 
 
-def _cmd_cycle(ns: argparse.Namespace) -> int:
-    resolved = _resolve_params(ns, "cycle")
+def _axis(resolved: dict[str, Any], lo: str, hi: str, steps: str) -> list[float]:
+    """``np.linspace`` over the flags ``lo``, ``hi`` and ``steps``.
+
+    A step count below one, an infinite bound and a span beyond the
+    largest double are rejected, the last two before numpy warns.
+    """
+    if resolved[steps] < 1:
+        raise ValidationError(f"{_flag(steps)} must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = np.linspace(resolved[lo], resolved[hi], resolved[steps])
+    if not np.isfinite(axis).all():
+        raise ValidationError(
+            f"{_flag(lo)} and {_flag(hi)} must give a finite axis, "
+            f"got {resolved[lo]!r} and {resolved[hi]!r}"
+        )
+    return axis.tolist()
+
+
+def _cmd_cycle(resolved: dict[str, Any]) -> int:
     spec = CycleSpec(
         j_a=Coupling(resolved["ja_k"]),
         j_b=Coupling(resolved["jb_k"]),
@@ -241,8 +247,7 @@ def _cmd_cycle(ns: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, allow_nan=False))
         return EXIT_OK
 
-    for line in _echo_lines(config_echo):
-        print(line)
+    _echo(config_echo)
     print(f"{'quantity':<10}{'kelvin*k_B':>22}{'eV':>18}")
     for field in ledger_fields:
         value = getattr(ledger, field)
@@ -254,8 +259,7 @@ def _cmd_cycle(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    resolved = _resolve_params(ns, "sweep")
+def _cmd_sweep(resolved: dict[str, Any]) -> int:
     branch = Branch.from_token(resolved["branch"])
     if resolved["jb_k"] is None:
         resolved["jb_k"] = -32.0 if branch is Branch.B_NEGATIVE else 32.0
@@ -263,21 +267,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         raise ValidationError(
             f"--format must be 'csv' or 'json', got {resolved['format']!r}"
         )
-    for steps_key in ("ratio_steps", "tr_steps"):
-        if resolved[steps_key] < 1:
-            raise ValidationError(f"--{steps_key.replace('_', '-')} must be >= 1")
-
     grid = SweepGrid(
         coupling_ratio_axis=tuple(
-            np.linspace(
-                resolved["ratio_min"], resolved["ratio_max"], resolved["ratio_steps"]
-            ).tolist()
+            _axis(resolved, "ratio_min", "ratio_max", "ratio_steps")
         ),
-        temp_ratio_axis=tuple(
-            np.linspace(
-                resolved["tr_min"], resolved["tr_max"], resolved["tr_steps"]
-            ).tolist()
-        ),
+        temp_ratio_axis=tuple(_axis(resolved, "tr_min", "tr_max", "tr_steps")),
         anchor=GridAnchor(j_b=Coupling(resolved["jb_k"]), t_cold=resolved["tc"]),
         branch=branch,
     )
@@ -285,8 +279,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     export_to_path(cells, resolved["out"], format=resolved["format"])
 
     counts = np.bincount(cells.mode_code, minlength=len(OperationMode))
-    for line in _echo_lines(resolved):
-        print(line)
+    _echo(resolved)
     print(f"cells {len(cells)}")
     for mode, count in zip(OperationMode, counts.tolist()):
         print(f"{mode.token} {count}")
@@ -294,36 +287,24 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(ns: argparse.Namespace) -> int:
-    resolved = _resolve_params(ns, "fit")
+def _cmd_fit(resolved: dict[str, Any]) -> int:
     if resolved["fix_g"] is not None and resolved["free_g"]:
         raise ValidationError("--fix-g and --free-g are mutually exclusive")
     if resolved["g_init"] is not None and not resolved["free_g"]:
         raise ValidationError("--g-init applies only with --free-g")
     if resolved["free_g"]:
-        policy = (
-            FreeG(resolved["g_init"]) if resolved["g_init"] is not None else FreeG()
-        )
-    elif resolved["fix_g"] is not None:
-        policy = FixG(resolved["fix_g"])
+        policy = FreeG() if resolved["g_init"] is None else FreeG(resolved["g_init"])
     else:
-        policy = FixG()
+        policy = FixG() if resolved["fix_g"] is None else FixG(resolved["fix_g"])
 
     with open(resolved["data"], "rb") as handle:
         dataset = ingest_csv(handle)
     result = fit_bleaney_bowers(dataset, policy)
     report = fit_report_json(result, dataset)
 
-    for line in _echo_lines(resolved):
-        print(line, file=sys.stderr)
+    _echo(resolved, file=sys.stderr)
     if resolved["out"] is not None:
-        try:
-            with open(resolved["out"], "wb") as handle:
-                handle.write(report)
-        except OSError as exc:
-            raise OSError(
-                exc.errno, f"cannot write fit report: {exc.strerror}", resolved["out"]
-            ) from exc
+        write(resolved["out"], [report], "fit report")
         print(f"wrote {resolved['out']}", file=sys.stderr)
     else:
         sys.stdout.write(report.decode("utf-8"))
@@ -337,41 +318,37 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_engine_curve(ns: argparse.Namespace) -> int:
-    resolved = _resolve_params(ns, "engine-curve")
-    if resolved["steps"] < 1:
-        raise ValidationError("--steps must be >= 1")
-    if not resolved["th_min"] > resolved["tc"]:
-        raise ValidationError("--th-min must exceed --tc")
+def _cmd_engine_curve(resolved: dict[str, Any]) -> int:
+    axis = _axis(resolved, "th_min", "th_max", "steps")
     if resolved["th_max"] < resolved["th_min"]:
         raise ValidationError("--th-max must be at least --th-min")
-
-    axis = np.linspace(
-        resolved["th_min"], resolved["th_max"], resolved["steps"]
-    ).tolist()
     points = engine_curve(
         j_a=Coupling(resolved["ja_k"]),
         j_b=Coupling(resolved["jb_k"]),
         t_cold=resolved["tc"],
         t_hot_axis=axis,
     )
-    payload = engine_curve_csv(points)
-    try:
-        with open(resolved["out"], "wb") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        raise OSError(
-            exc.errno, f"cannot write engine curve: {exc.strerror}", resolved["out"]
-        ) from exc
+    write(resolved["out"], [engine_curve_csv(points)], "engine curve")
 
-    for line in _echo_lines(resolved):
-        print(line)
-    engine_points = sum(
-        1 for p in points if p.mode is OperationMode.HEAT_ENGINE
-    )
+    _echo(resolved)
+    engine_points = sum(p.mode is OperationMode.HEAT_ENGINE for p in points)
     print(f"points {len(points)} heat_engine {engine_points}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK
+
+
+#: Subcommand name -> (help line, parameters, handler of the resolved
+#: parameters).
+_COMMANDS = {
+    "cycle": ("evaluate one Stirling cycle", _CYCLE_PARAMS, _cmd_cycle),
+    "sweep": ("write a mode map over the ratio plane", _SWEEP_PARAMS, _cmd_sweep),
+    "fit": ("fit a susceptibility CSV", _FIT_PARAMS, _cmd_fit),
+    "engine-curve": (
+        "tabulate the cycle against the hot-bath temperature",
+        _CURVE_PARAMS,
+        _cmd_engine_curve,
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,60 +360,44 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "cycle": _cmd_cycle,
-        "sweep": _cmd_sweep,
-        "fit": _cmd_fit,
-        "engine-curve": _cmd_engine_curve,
-    }
-    for command, (summary, params) in _COMMANDS.items():
+    for command, (summary, params, _) in _COMMANDS.items():
         sub_parser = sub.add_parser(command, help=summary)
         for param in params:
-            if param.kind is _parse_bool:
-                sub_parser.add_argument(
-                    param.flag,
-                    dest=param.name,
-                    action="store_true",
-                    default=None,
-                    help=param.help,
-                )
-            else:
-                sub_parser.add_argument(
-                    param.flag, dest=param.name, type=param.kind, help=param.help
-                )
+            # A boolean is a bare flag; None marks any flag left unset.
+            kind = (
+                {"action": "store_true", "default": None}
+                if param.kind is _parse_bool
+                else {"type": param.kind}
+            )
+            sub_parser.add_argument(
+                _flag(param.name), dest=param.name, help=param.help, **kind
+            )
         sub_parser.add_argument(
             "--config", help="INI config file with a section per subcommand"
         )
-        sub_parser.set_defaults(handler=handlers[command])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point returning an exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    """Entry point returning an exit code instead of raising SystemExit.
+
+    An :class:`InvariantViolation` is a package bug and propagates.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
+    _, params, handler = _COMMANDS[ns.command]
     try:
-        return ns.handler(ns)
+        return handler(_resolve_params(ns, ns.command, params))
     except InvariantViolation:
-        # An internal consistency bug should crash loudly, not map to a
-        # polite exit code.
         raise
-    except DataFormatError as exc:
+    except (SpinStirlingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValidationError, ModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SpinStirlingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, DataFormatError):
+            return EXIT_DATA
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 def console_entry() -> None:

@@ -235,6 +235,10 @@ def _stroke_scale(q_ab, q_bc, q_cd, q_da):
     )
 
 
+_FLOOR_T = 32.0 * math.ulp(1.0) * (2.0 * math.log(4.0))
+_FLOOR_J = 32.0 * math.ulp(1.0) * 1.5
+
+
 def _roundoff_floor(j_a, j_b, t_hot, t_cold):
     """Absolute roundoff scale of the stroke-heat arithmetic, elementwise.
 
@@ -244,11 +248,11 @@ def _roundoff_floor(j_a, j_b, t_hot, t_cold):
     stay O(T) and O(|J|), so the achievable absolute accuracy is set by
     the terms, not the results.  Consistency checks must not demand more
     than a modest multiple of machine epsilon times that term magnitude.
+    The multiple, 32 ulp(1) = 2**-47, scales the constants rather than the
+    sum, which would overflow once t_hot + t_cold passes about 6.5e307 K;
+    scaling by a power of two is exact, so the floor is the same bits.
     """
-    operand_sum = 2.0 * math.log(4.0) * (t_hot + t_cold) + 1.5 * (
-        np.abs(j_a) + np.abs(j_b)
-    )
-    return 32.0 * math.ulp(1.0) * operand_sum
+    return _FLOOR_T * (t_hot + t_cold) + _FLOOR_J * (np.abs(j_a) + np.abs(j_b))
 
 
 def _carnot_band(scale):

@@ -22,7 +22,6 @@ outputs feed acceptance tests and published-figure reproductions.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 from typing import Iterable, Union
@@ -42,7 +41,7 @@ from .cycle import (
     StrokeLedger,
     _evaluate_cycles,
 )
-from ._format import _format_17g
+from ._format import _format_17g, decode
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -99,7 +98,8 @@ class SusceptibilityDataset:
 
     ``points`` holds (temperature in K, molar chi in emu/mol) pairs,
     strictly increasing in temperature.  ``pressure_gpa`` is carried as
-    metadata only; it never enters the model.
+    metadata only; it never enters the model, but it must be finite (or
+    None) because the fit report writes it as a JSON number.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -107,6 +107,10 @@ class SusceptibilityDataset:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if self.pressure_gpa is not None and not math.isfinite(self.pressure_gpa):
+            raise DataFormatError(
+                f"pressure_GPa must be finite, got {self.pressure_gpa!r}"
+            )
         if len(self.points) < 5:
             raise DataFormatError(
                 f"dataset too small: {len(self.points)} points, need at least 5"
@@ -252,15 +256,9 @@ def bleaney_bowers_jacobian(temperatures, j_over_kb: float, g: float) -> np.ndar
 
 
 def _as_text_lines(stream) -> list[str]:
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    elif isinstance(stream, io.TextIOBase):
-        text = stream.read()
-    else:
-        raw = stream.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = stream if isinstance(stream, (bytes, str)) else stream.read()
+    if isinstance(text, bytes):
+        text = decode(text, DataFormatError, "susceptibility data")
     return text.splitlines()
 
 
@@ -276,9 +274,11 @@ def ingest_csv(stream) -> SusceptibilityDataset:
     Raises
     ------
     DataFormatError
-        On a malformed row (message carries the 1-based line number),
-        duplicate temperatures, a missing required column, or fewer
-        than 5 valid points.
+        On bytes that are not UTF-8 (message carries the byte offset), a
+        malformed row (message carries the 1-based line number),
+        duplicate temperatures, a missing required column, a non-finite
+        pressure, or fewer than 5 valid points.  The CLI maps it to exit
+        code 4; a ``--config`` file that is not UTF-8 exits with 2.
     """
     lines = _as_text_lines(stream)
     pressure: float | None = None

@@ -44,7 +44,7 @@ import numpy as np
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
-from ._format import _format_17g
+from ._format import _format_17g, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -559,15 +559,7 @@ def export_to_path(
     in memory does not grow with the number of cells.  OS errors keep
     the path context.
     """
-    blocks = _text_blocks(_as_map(cells, format), format)
-    try:
-        with open(path, "wb") as handle:
-            for text in blocks:
-                handle.write(text)
-    except OSError as exc:
-        raise OSError(
-            exc.errno, f"cannot write {format} export: {exc.strerror}", path
-        ) from exc
+    write(path, _text_blocks(_as_map(cells, format), format), f"{format} export")
 
 
 def _column(convert, fields, dtype, rows, what: str) -> np.ndarray:
@@ -662,12 +654,7 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
         raise ValidationError(
             f"unknown export format {format!r}, use 'csv' or 'json'"
         )
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"export is not UTF-8: byte {exc.start} ({exc.reason})"
-        ) from None
+    text = decode(data, ValidationError, "export")
     if format == "csv":
         rows, columns = _csv_fields(text)
         number = float

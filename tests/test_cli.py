@@ -174,10 +174,35 @@ class TestSweepCommand:
         args = ["sweep", "--branch", "sideways", "--out", str(tmp_path / "x.csv")]
         assert main(args) == EXIT_VALIDATION
 
-    def test_unwritable_output_is_an_io_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--tr-max", "inf"],
+            ["--ratio-min=-inf"],
+            ["--ratio-min=-1e308", "--ratio-max", "1e308"],
+        ],
+    )
+    def test_non_finite_axis_fails_validation_without_a_warning(
+        self, bounds, tmp_path, capsys
+    ):
+        out = tmp_path / "m.csv"
+        args = ["sweep", "--ratio-steps", "3", "--tr-steps", "3", "--out", str(out)]
+        assert main(args + bounds) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "must give a finite axis" in captured.err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "map.csv"
         args = ["sweep", "--out", str(target), "--ratio-steps", "4", "--tr-steps", "3"]
         assert main(args) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] cannot write csv export: "
+            f"No such file or directory: '{target}'\n"
+        )
 
 
 class TestFitCommand:
@@ -239,6 +264,16 @@ class TestFitCommand:
         empty.write_text("")
         assert main(["fit", "--data", str(empty)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pressure_is_a_data_error(self, value, tmp_path, capsys):
+        data = write_synthetic_data(tmp_path / "chi.csv")
+        with open(data, "a") as handle:
+            handle.write(f"# pressure_GPa: {value}\n")
+        assert main(["fit", "--data", str(data)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: pressure_GPa must be finite, got {value}\n"
+
     def test_exhausted_iteration_budget_is_a_data_error(self, tmp_path, monkeypatch):
         import spin_stirling.magnetometry as mag
 
@@ -276,13 +311,32 @@ class TestEngineCurveCommand:
         args = self.BASE + ["--steps", "0", "--out", str(tmp_path / "c.csv")]
         assert main(args) == EXIT_VALIDATION
 
-    def test_rejects_hot_axis_below_the_cold_bath(self, tmp_path):
+    def test_rejects_hot_axis_below_the_cold_bath(self, tmp_path, capsys):
         args = [
             "engine-curve", "--ja-k", "-42", "--jb-k", "-32", "--tc", "20",
             "--th-min", "19", "--th-max", "350", "--steps", "10",
             "--out", str(tmp_path / "c.csv"),
         ]
         assert main(args) == EXIT_VALIDATION
+        # The rule is the cycle's own, not a copy in the command line.
+        assert capsys.readouterr().err == (
+            "error: t_hot must exceed t_cold, got t_hot=19.0, t_cold=20.0\n"
+        )
+
+    @pytest.mark.parametrize("bound", [["--th-max", "inf"], ["--th-min", "nan"]])
+    def test_rejects_a_non_finite_hot_axis_without_a_warning(
+        self, bound, tmp_path, capsys
+    ):
+        args = [
+            "engine-curve", "--ja-k", "-42", "--jb-k", "-32", "--tc", "20",
+            "--th-min", "30", "--th-max", "350", "--steps", "3",
+            "--out", str(tmp_path / "c.csv"),
+        ]
+        assert main(args + bound) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --th-min and --th-max must give")
+        assert len(captured.err.splitlines()) == 1
 
     def test_rejects_inverted_hot_axis(self, tmp_path):
         args = [
@@ -363,6 +417,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: injected failure\n"
+
+
+    def test_non_utf8_data_file_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "chi.csv"
+        data.write_bytes(b"T_K,chi_emu_mol\n\xff,1\n")
+        assert main(["fit", "--data", str(data)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: susceptibility data is not UTF-8: byte 16 (invalid start byte)\n"
+        )
+
+    def test_non_utf8_config_file_is_a_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "fit.ini"
+        config.write_bytes(b"[fit]\ndata = \xfe\n")
+        assert main(["fit", "--config", str(config)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config file {config} is not UTF-8: "
+            "byte 13 (invalid start byte)\n"
+        )
 
 
 class TestRepeatedCalls:

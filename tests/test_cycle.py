@@ -417,6 +417,38 @@ class TestDeepGapModes:
         assert mode is OperationMode.ACCELERATOR
         assert eta is None
 
+    def test_roundoff_floor_stays_finite_at_the_largest_temperatures(self):
+        # The summed operand terms overflow above about 6.5e307 K; the floor
+        # must not, or the first-law check would accept any closure there.
+        floor = _roundoff_floor(-42.0, -32.0, 1e308, 20.0)
+        assert math.isfinite(floor) and floor > 0.0
+        floors = _roundoff_floor(-42.0, -32.0, np.array([21.0, 1e308]), 20.0)
+        assert np.isfinite(floors).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            points = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [21.0, 1e308])
+        assert [p.t_hot for p in points] == [21.0, 1e308]
+
+    @given(
+        j_a=st.floats(min_value=-1e6, max_value=1e6),
+        j_b=st.floats(min_value=-1e6, max_value=1e6),
+        t_cold=st.floats(min_value=1e-3, max_value=1e300),
+        t_ratio=st.floats(min_value=1.0, max_value=1e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_roundoff_floor_is_32_ulp_of_the_operand_sum(
+        self, j_a, j_b, t_cold, t_ratio
+    ):
+        # Where the operand sum is finite, scaling the constants by 2**-47
+        # instead of the sum gives the same bits.
+        t_hot = t_cold * t_ratio
+        operand_sum = 2.0 * math.log(4.0) * (t_hot + t_cold) + 1.5 * (
+            abs(j_a) + abs(j_b)
+        )
+        assume(math.isfinite(operand_sum))
+        floor = _roundoff_floor(j_a, j_b, t_hot, t_cold)
+        assert floor == 32.0 * math.ulp(1.0) * operand_sum
+
     @given(
         j_a=st.floats(min_value=-5000.0, max_value=5000.0),
         j_b=st.floats(min_value=-5000.0, max_value=5000.0),

@@ -154,6 +154,12 @@ class TestIngestion:
         with pytest.raises(DataFormatError):
             ingest_csv("T_K,chi_emu_mol\n10,-0.01\n20,0.02\n30,0.03\n40,0.04\n50,0.05\n")
 
+    def test_bytes_that_are_not_utf8_are_a_data_error(self):
+        bad = b"T_K,chi_emu_mol\n\xff,1\n"
+        for stream in (bad, io.BytesIO(bad)):
+            with pytest.raises(DataFormatError, match="not UTF-8: byte 16"):
+                ingest_csv(stream)
+
     def test_bundled_datasets_carry_their_pressure_metadata(self):
         ambient = ingest_csv(bundled("cu2_dimer_ambient.csv"))
         pressurized = ingest_csv(bundled("cu2_dimer_0p84gpa.csv"))
@@ -198,6 +204,13 @@ class TestDatasetValidation:
             SusceptibilityDataset(
                 points=((10.0, 0.01), (20.0, 0.02)), pressure_gpa=None, label=None
             )
+
+    @pytest.mark.parametrize("pressure", [math.nan, math.inf, -math.inf])
+    def test_requires_a_finite_pressure(self, pressure):
+        points = ((10.0, 0.01), (20.0, 0.02), (30.0, 0.03), (40.0, 0.04), (50.0, 0.05))
+        # The fit report writes the pressure as a JSON number.
+        with pytest.raises(DataFormatError, match="pressure_GPa must be finite"):
+            SusceptibilityDataset(points=points, pressure_gpa=pressure)
 
     def test_requires_strictly_increasing_temperatures(self):
         points = ((10.0, 0.01), (10.0, 0.02), (30.0, 0.03), (40.0, 0.04), (50.0, 0.05))

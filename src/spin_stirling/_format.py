@@ -1,8 +1,9 @@
 """The package's file boundary: text decoding, file writes and float text.
 
-:func:`decode` turns input bytes into text and :func:`write` puts output
-bytes in a file; both raise the package's typed errors, so every reader
-and writer fails the same way.  Exports write every float as ``%.17g``
+:func:`decode` turns input bytes into text, :func:`decoding` guards a
+read that decodes as it goes, and :func:`write` puts output bytes in a
+file; all three raise the package's typed errors, so every reader and
+writer fails the same way.  Exports write every float as ``%.17g``
 (17 significant digits, exact under roundtrip).  Formatting each value
 through Python would cost most of a mode-map export, so
 :func:`_format_17g` produces the same bytes for a whole array at once
@@ -11,19 +12,28 @@ and hands Python only the values it cannot certify.
 
 from __future__ import annotations
 
-from typing import Iterable
+import contextlib
+from typing import Iterable, Iterator
 
 import numpy as np
 
 
-def decode(data: bytes, error_type: type[Exception], what: str) -> str:
-    """``data`` as UTF-8 text; bad bytes raise ``error_type`` with their offset."""
+@contextlib.contextmanager
+def decoding(error_type: type[Exception], what: str) -> Iterator[None]:
+    """Raise a UTF-8 decoding failure in the block as ``error_type``,
+    naming ``what`` and the offset of the bad byte."""
     try:
-        return data.decode("utf-8")
+        yield
     except UnicodeDecodeError as exc:
         raise error_type(
             f"{what} is not UTF-8: byte {exc.start} ({exc.reason})"
         ) from None
+
+
+def decode(data: bytes, error_type: type[Exception], what: str) -> str:
+    """``data`` as UTF-8 text; bad bytes raise ``error_type`` with their offset."""
+    with decoding(error_type, what):
+        return data.decode("utf-8")
 
 
 def write(path: str, chunks: Iterable[bytes], what: str) -> None:

@@ -24,6 +24,7 @@ import importlib.resources
 import io
 import json
 import sys
+import warnings
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -90,12 +91,10 @@ def _flag(name: str) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"cannot interpret {text!r} as a boolean")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValidationError(f"cannot interpret {text!r} as a boolean") from None
 
 
 _CYCLE_PARAMS = (
@@ -224,9 +223,7 @@ def _cmd_cycle(resolved: dict[str, Any]) -> int:
         t_cold=resolved["tc"],
     )
     ledger, mode, eta = next(
-        _evaluate_cycles(
-            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-        ).rows()
+        _evaluate_cycles(spec.j_a, spec.j_b, spec.t_hot, spec.t_cold).rows()
     )
     eta_carnot = carnot_efficiency(spec.t_hot, spec.t_cold)
 
@@ -381,6 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point returning an exit code instead of raising SystemExit.
 
+    Each distinct warning that the command raises is printed once to
+    stderr as a ``warning: <message>`` line, ahead of any ``error:``
+    line; a warning that the filters turn into an error still raises.
     An :class:`InvariantViolation` is a package bug and propagates.
     """
     try:
@@ -389,15 +389,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
     _, params, handler = _COMMANDS[ns.command]
-    try:
-        return handler(_resolve_params(ns, ns.command, params))
-    except InvariantViolation:
-        raise
-    except (SpinStirlingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, DataFormatError):
-            return EXIT_DATA
-        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return handler(_resolve_params(ns, ns.command, params))
+        except InvariantViolation:
+            raise
+        except (SpinStirlingError, OSError) as exc:
+            failure = exc
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    print(f"error: {failure}", file=sys.stderr)
+    if isinstance(failure, DataFormatError):
+        return EXIT_DATA
+    return EXIT_IO if isinstance(failure, OSError) else EXIT_VALIDATION
 
 
 def console_entry() -> None:

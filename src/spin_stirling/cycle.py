@@ -69,6 +69,15 @@ MODE_TOLERANCE_RTOL = 1e-12
 MODE_TOLERANCE_FLOOR = 1e-30
 
 
+def _check_baths(t_hot, t_cold) -> None:
+    """Both bath temperatures finite numbers, the cold one positive."""
+    for name, value in (("t_hot", t_hot), ("t_cold", t_cold)):
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    if not t_cold > 0.0:
+        raise ValidationError(f"t_cold must be strictly positive, got {t_cold!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class CycleSpec:
     """One Stirling cycle: two couplings and two bath temperatures.
@@ -85,14 +94,7 @@ class CycleSpec:
     t_cold: float
 
     def __post_init__(self) -> None:
-        for name in ("t_hot", "t_cold"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if not self.t_cold > 0.0:
-            raise ValidationError(
-                f"t_cold must be strictly positive, got {self.t_cold!r}"
-            )
+        _check_baths(self.t_hot, self.t_cold)
         if not self.t_hot > self.t_cold:
             raise ValidationError(
                 f"t_hot must exceed t_cold, got t_hot={self.t_hot!r}, "
@@ -394,13 +396,14 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
     return _Evaluation(q_ab, q_bc, q_cd, q_da, work, q_in, q_out, code, eta)
 
 
-def _evaluate_cycles(j_a, j_b, t_hot, t_cold) -> _Evaluation:
+def _evaluate_cycles(j_a: Coupling, j_b: Coupling, t_hot, t_cold) -> _Evaluation:
     """:func:`_evaluate` for cycles that :class:`CycleSpec` has validated.
 
     Emits one :class:`CurieRegimeWarning` when any cycle endpoint has
     ``T > |J|/k_B``, where the dimer model leaves the exchange-dominated
     regime it is meant to describe.
     """
+    j_a, j_b = j_a.j_over_kb, j_b.j_over_kb
     # A valid cycle has t_hot > t_cold, so the hot bath against the
     # weaker coupling decides whether any of its four endpoints is warm.
     if np.any(np.greater(t_hot, np.minimum(np.abs(j_a), np.abs(j_b)))):
@@ -429,9 +432,7 @@ def assemble_ledger(spec: CycleSpec) -> StrokeLedger:
     exchange-dominated regime it is meant to describe.
     """
     ledger, _, _ = next(
-        _evaluate_cycles(
-            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-        ).rows()
+        _evaluate_cycles(spec.j_a, spec.j_b, spec.t_hot, spec.t_cold).rows()
     )
     return ledger
 
@@ -487,9 +488,7 @@ def efficiency(spec: CycleSpec) -> float:
     every evaluation path classifies it as an accelerator.
     """
     _, mode, eta = next(
-        _evaluate_cycles(
-            spec.j_a.j_over_kb, spec.j_b.j_over_kb, spec.t_hot, spec.t_cold
-        ).rows()
+        _evaluate_cycles(spec.j_a, spec.j_b, spec.t_hot, spec.t_cold).rows()
     )
     if eta is None:
         raise ModeError(
@@ -505,11 +504,7 @@ def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     analyses can evaluate the degenerate point, but rejects a hot bath
     colder than the cold one.
     """
-    for name, value in (("t_hot", t_hot), ("t_cold", t_cold)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    if not t_cold > 0.0:
-        raise ValidationError(f"t_cold must be strictly positive, got {t_cold!r}")
+    _check_baths(t_hot, t_cold)
     if t_hot < t_cold:
         raise ValidationError(
             f"t_hot must be at least t_cold, got t_hot={t_hot!r} < t_cold={t_cold!r}"

@@ -41,7 +41,7 @@ from .cycle import (
     StrokeLedger,
     _evaluate_cycles,
 )
-from ._format import _format_17g, decode
+from ._format import _format_17g, decoding
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -256,9 +256,11 @@ def bleaney_bowers_jacobian(temperatures, j_over_kb: float, g: float) -> np.ndar
 
 
 def _as_text_lines(stream) -> list[str]:
-    text = stream if isinstance(stream, (bytes, str)) else stream.read()
-    if isinstance(text, bytes):
-        text = decode(text, DataFormatError, "susceptibility data")
+    # A text stream decodes as it is read, so the read is guarded too.
+    with decoding(DataFormatError, "susceptibility data"):
+        text = stream if isinstance(stream, (bytes, str)) else stream.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
     return text.splitlines()
 
 
@@ -274,7 +276,8 @@ def ingest_csv(stream) -> SusceptibilityDataset:
     Raises
     ------
     DataFormatError
-        On bytes that are not UTF-8 (message carries the byte offset), a
+        On bytes that are not UTF-8, given as bytes, a binary stream or
+        a text stream (message carries the byte offset), a
         malformed row (message carries the 1-based line number),
         duplicate temperatures, a missing required column, a non-finite
         pressure, or fewer than 5 valid points.  The CLI maps it to exit
@@ -574,7 +577,7 @@ def engine_curve(
     if not axis:
         raise ValidationError("t_hot_axis must be non-empty")
     CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
-    cycles = _evaluate_cycles(j_a.j_over_kb, j_b.j_over_kb, np.array(axis), t_cold)
+    cycles = _evaluate_cycles(j_a, j_b, np.array(axis), t_cold)
     # On a validated axis this is carnot_efficiency(t_hot, t_cold), bit for bit.
     return [
         EngineCurvePoint(t_hot, ledger, mode, eta, 1.0 - t_cold / t_hot)

@@ -144,13 +144,10 @@ class SweepGrid:
                 f"{min(self.temp_ratio_axis)!r}"
             )
         j_b = self.anchor.j_b.j_over_kb
-        if self.branch is Branch.B_NEGATIVE and not j_b < 0.0:
+        sign = self.branch.value.removeprefix("b-")
+        if not (j_b < 0.0 if sign == "negative" else j_b > 0.0):
             raise ValidationError(
-                f"branch b-negative requires a negative anchor j_b, got {j_b!r}"
-            )
-        if self.branch is Branch.B_POSITIVE and not j_b > 0.0:
-            raise ValidationError(
-                f"branch b-positive requires a positive anchor j_b, got {j_b!r}"
+                f"branch b-{sign} requires a {sign} anchor j_b, got {j_b!r}"
             )
 
     @classmethod
@@ -320,11 +317,14 @@ class ModeMap(collections.abc.Sequence):
         return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
-def _evaluate_grid(grid: SweepGrid) -> tuple[np.ndarray, ...]:
-    """Vectorized evaluation of every grid cell.
+def sweep(grid: SweepGrid) -> ModeMap:
+    """Evaluate every grid cell and classify its operating mode.
 
-    Returns (work, q_in, q_out, mode codes, eta_over_carnot) with shape
-    (len(temp_ratio_axis), len(coupling_ratio_axis)).
+    Returns a :class:`ModeMap`: a sequence of :class:`ModeCell` backed by
+    numpy columns.  Cells are in row-major order with the temperature
+    ratio as the outer index: cell ``k`` has ``temp_ratio_axis[k // n_r]``
+    and ``coupling_ratio_axis[k % n_r]``.  Two sweeps of the same grid
+    are bit-identical.
     """
     ratios = np.asarray(grid.coupling_ratio_axis, dtype=float)
     temp_ratios = np.asarray(grid.temp_ratio_axis, dtype=float)[:, np.newaxis]
@@ -339,30 +339,14 @@ def _evaluate_grid(grid: SweepGrid) -> tuple[np.ndarray, ...]:
     cells = _evaluate(
         np.where(flagged, np.nan, j_a), j_b, temp_ratios * t_cold, t_cold, eta_carnot
     )
-    codes = np.where(flagged, np.int8(_FORBIDDEN), cells.code)
-    return cells.work, cells.q_in, cells.q_out, codes, cells.eta / eta_carnot
-
-
-def sweep(grid: SweepGrid) -> ModeMap:
-    """Evaluate every grid cell and classify its operating mode.
-
-    Returns a :class:`ModeMap`: a sequence of :class:`ModeCell` backed by
-    numpy columns.  Cells are in row-major order with the temperature
-    ratio as the outer index: cell ``k`` has ``temp_ratio_axis[k // n_r]``
-    and ``coupling_ratio_axis[k % n_r]``.  Two sweeps of the same grid
-    are bit-identical.
-    """
-    work, q_in, q_out, codes, eta_ratio = _evaluate_grid(grid)
-    ratios = np.asarray(grid.coupling_ratio_axis, dtype=float)
-    temp_ratios = np.asarray(grid.temp_ratio_axis, dtype=float)
     return ModeMap(
         coupling_ratio=np.tile(ratios, len(temp_ratios)),
         temp_ratio=np.repeat(temp_ratios, len(ratios)),
-        mode_code=codes.ravel(),
-        work=work.ravel(),
-        q_in=q_in.ravel(),
-        q_out=q_out.ravel(),
-        eta_over_carnot=eta_ratio.ravel(),
+        mode_code=np.where(flagged, np.int8(_FORBIDDEN), cells.code).ravel(),
+        work=cells.work.ravel(),
+        q_in=cells.q_in.ravel(),
+        q_out=cells.q_out.ravel(),
+        eta_over_carnot=(cells.eta / eta_carnot).ravel(),
     )
 
 
@@ -466,14 +450,18 @@ _LAYOUTS = {
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
 
-def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
-    """Check an export request and convert plain cell sequences to columns."""
-    if not len(cells):
-        raise ValidationError("export requires a non-empty cell list")
+def _check_format(format: str) -> None:
     if format not in _LAYOUTS:
         raise ValidationError(
             f"unknown export format {format!r}, use 'csv' or 'json'"
         )
+
+
+def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
+    """Check an export request and convert plain cell sequences to columns."""
+    if not len(cells):
+        raise ValidationError("export requires a non-empty cell list")
+    _check_format(format)
     if isinstance(cells, ModeMap):
         return cells
     rows = [
@@ -650,10 +638,7 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
     A JSON row outside heat-engine mode may carry any efficiency; it is
     dropped.
     """
-    if format not in _LAYOUTS:
-        raise ValidationError(
-            f"unknown export format {format!r}, use 'csv' or 'json'"
-        )
+    _check_format(format)
     text = decode(data, ValidationError, "export")
     if format == "csv":
         rows, columns = _csv_fields(text)

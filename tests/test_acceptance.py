@@ -9,9 +9,12 @@ as stated and are expected to fail; ``docs/acceptance_gaps.md`` explains
 the observed values, and ``scripts/acceptance_gaps.py`` regenerates them.
 """
 
+import os
 import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -364,3 +367,22 @@ def test_criterion_10_fit_jacobian_matches_finite_differences():
         f"worst column-relative deviation {worst:.3e} over 20 random points",
     )
     assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_acceptance_gaps_script_prints_the_values_the_note_quotes():
+    # docs/acceptance_gaps.md quotes these lines of the script's output.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "acceptance_gaps.py")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    for quoted in (
+        "observed 7.379e-06..3.324e-05 eV",
+        "root -0.7066",
+        "|q_bc+q_da|/scale = 0.312",
+        "fridge columns 108 (-0.624..+0.985), rising-threshold pairs 40, "
+        "ceiling peaks at ratio -0.023 (T_h/T_c = 2.205)",
+    ):
+        assert quoted in result.stdout

@@ -34,6 +34,17 @@ def write_synthetic_data(path, j=-32.0, g=2.1):
     return path
 
 
+def run_in_subprocess(*args):
+    """Run ``python *args`` with this checkout's ``src`` on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+
+
 def validate(instance, schema_name):
     jsonschema.validate(instance, json.loads(schema_text(schema_name)))
 
@@ -357,21 +368,37 @@ class TestTopLevel:
     def test_import_leaves_fractions_and_decimal_unloaded(self):
         # Import time is paid by every console call; the export formatter's
         # power-of-ten table is built with int arithmetic, not Fraction.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, *filter(None, [env.get("PYTHONPATH")])]
-        )
         code = (
             "import sys, spin_stirling.cli; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, timeout=60, check=False,
-        )
+        result = run_in_subprocess("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    ENTRY = "from spin_stirling.cli import console_entry; console_entry()"
+    CURIE_WARNING = (
+        "warning: cycle endpoint enters the Curie paramagnetic regime "
+        "(T > |J|/k_B); the dimer description degrades there\n"
+    )
+
+    def test_a_warning_is_one_stderr_line(self, capsys):
+        # In process the suite's filter ignores the warning, so run the
+        # console entry point in a fresh interpreter.
+        result = run_in_subprocess("-c", self.ENTRY, *CYCLE_ARGS)
+        assert result.returncode == EXIT_OK
+        assert result.stderr == self.CURIE_WARNING
+        assert main(CYCLE_ARGS) == EXIT_OK
+        assert result.stdout == capsys.readouterr().out
+
+    def test_warnings_come_before_the_error_line(self, tmp_path):
+        out = tmp_path / "missing" / "curve.csv"
+        args = TestEngineCurveCommand.BASE + ["--steps", "3", "--out", str(out)]
+        result = run_in_subprocess("-c", self.ENTRY, *args)
+        assert result.returncode == EXIT_IO
+        warning, error = result.stderr.splitlines(keepends=True)
+        assert warning == self.CURIE_WARNING
+        assert error.startswith("error: [Errno 2] cannot write engine curve")
 
 
 class TestExitCodes:

@@ -156,7 +156,8 @@ class TestIngestion:
 
     def test_bytes_that_are_not_utf8_are_a_data_error(self):
         bad = b"T_K,chi_emu_mol\n\xff,1\n"
-        for stream in (bad, io.BytesIO(bad)):
+        text_handle = io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8")
+        for stream in (bad, io.BytesIO(bad), text_handle):
             with pytest.raises(DataFormatError, match="not UTF-8: byte 16"):
                 ingest_csv(stream)
 

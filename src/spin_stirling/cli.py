@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import importlib.resources
 import io
 import json
@@ -32,7 +33,13 @@ import numpy as np
 from .constants import KB_EV_PER_K
 from .core import Coupling
 from ._format import decode, write
-from .cycle import CycleSpec, OperationMode, _evaluate_cycles, carnot_efficiency
+from .cycle import (
+    _ENGINE,
+    CycleSpec,
+    OperationMode,
+    _evaluate_cycles,
+    carnot_efficiency,
+)
 from .errors import (
     DataFormatError,
     InvariantViolation,
@@ -42,8 +49,8 @@ from .errors import (
 from .magnetometry import (
     FixG,
     FreeG,
-    engine_curve,
-    engine_curve_csv,
+    _curve_csv,
+    _evaluate_curve,
     fit_bleaney_bowers,
     fit_report_json,
     ingest_csv,
@@ -319,17 +326,14 @@ def _cmd_engine_curve(resolved: dict[str, Any]) -> int:
     axis = _axis(resolved, "th_min", "th_max", "steps")
     if resolved["th_max"] < resolved["th_min"]:
         raise ValidationError("--th-max must be at least --th-min")
-    points = engine_curve(
-        j_a=Coupling(resolved["ja_k"]),
-        j_b=Coupling(resolved["jb_k"]),
-        t_cold=resolved["tc"],
-        t_hot_axis=axis,
+    t_hot, cycles, eta_carnot = _evaluate_curve(
+        Coupling(resolved["ja_k"]), Coupling(resolved["jb_k"]), resolved["tc"], axis
     )
-    write(resolved["out"], [engine_curve_csv(points)], "engine curve")
+    write(resolved["out"], [_curve_csv(t_hot, cycles, eta_carnot)], "engine curve")
 
     _echo(resolved)
-    engine_points = sum(p.mode is OperationMode.HEAT_ENGINE for p in points)
-    print(f"points {len(points)} heat_engine {engine_points}")
+    engine_points = np.count_nonzero(cycles.code == _ENGINE)
+    print(f"points {len(t_hot)} heat_engine {engine_points}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK
 
@@ -348,7 +352,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused.
+
+    Reuse is safe: every parse returns a fresh namespace, every flag
+    defaults to None, and config values merge in :func:`_resolve_params`.
+    """
     parser = argparse.ArgumentParser(
         prog="spin-stirling",
         description=(

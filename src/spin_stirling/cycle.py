@@ -396,12 +396,16 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
     return _Evaluation(q_ab, q_bc, q_cd, q_da, work, q_in, q_out, code, eta)
 
 
-def _evaluate_cycles(j_a: Coupling, j_b: Coupling, t_hot, t_cold) -> _Evaluation:
+def _evaluate_cycles(
+    j_a: Coupling, j_b: Coupling, t_hot, t_cold, stacklevel: int = 3
+) -> _Evaluation:
     """:func:`_evaluate` for cycles that :class:`CycleSpec` has validated.
 
     Emits one :class:`CurieRegimeWarning` when any cycle endpoint has
     ``T > |J|/k_B``, where the dimer model leaves the exchange-dominated
-    regime it is meant to describe.
+    regime it is meant to describe.  ``stacklevel`` is the warning's, so
+    the default names the caller of this function's caller; a helper
+    between the public function and this one passes one more.
     """
     j_a, j_b = j_a.j_over_kb, j_b.j_over_kb
     # A valid cycle has t_hot > t_cold, so the hot bath against the
@@ -411,7 +415,7 @@ def _evaluate_cycles(j_a: Coupling, j_b: Coupling, t_hot, t_cold) -> _Evaluation
             "cycle endpoint enters the Curie paramagnetic regime "
             "(T > |J|/k_B); the dimer description degrades there",
             CurieRegimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return _evaluate(j_a, j_b, t_hot, t_cold)
 

@@ -36,9 +36,12 @@ from .constants import (
 )
 from .core import Coupling
 from .cycle import (
+    _ENGINE,
+    _MODES,
     CycleSpec,
     OperationMode,
     StrokeLedger,
+    _Evaluation,
     _evaluate_cycles,
 )
 from ._format import _format_17g, decoding
@@ -558,6 +561,25 @@ def coupling_from_angle(angle: BridgingAngle) -> Coupling:
     )
 
 
+def _evaluate_curve(
+    j_a: Coupling, j_b: Coupling, t_cold: float, t_hot_axis: Iterable[float]
+) -> tuple[np.ndarray, _Evaluation, np.ndarray]:
+    """Check and evaluate an engine curve as columns.
+
+    Returns the hot-bath axis, its evaluation and the Carnot bound,
+    which is ``1.0 - t_cold / t_hot`` of each point bit for bit.  The
+    one step behind :func:`engine_curve` and the command line; the
+    Curie-regime warning names the caller of whichever calls it.
+    """
+    axis = [float(t) for t in t_hot_axis]
+    if not axis:
+        raise ValidationError("t_hot_axis must be non-empty")
+    CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
+    t_hot = np.array(axis)
+    cycles = _evaluate_cycles(j_a, j_b, t_hot, t_cold, stacklevel=4)
+    return t_hot, cycles, 1.0 - t_cold / t_hot
+
+
 def engine_curve(
     j_a: Coupling,
     j_b: Coupling,
@@ -573,16 +595,49 @@ def engine_curve(
     instead of a number, so callers never divide by a heat that changed
     sign.
     """
-    axis = [float(t) for t in t_hot_axis]
-    if not axis:
-        raise ValidationError("t_hot_axis must be non-empty")
-    CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
-    cycles = _evaluate_cycles(j_a, j_b, np.array(axis), t_cold)
-    # On a validated axis this is carnot_efficiency(t_hot, t_cold), bit for bit.
+    t_hot, cycles, eta_carnot = _evaluate_curve(j_a, j_b, t_cold, t_hot_axis)
     return [
-        EngineCurvePoint(t_hot, ledger, mode, eta, 1.0 - t_cold / t_hot)
-        for t_hot, (ledger, mode, eta) in zip(axis, cycles.rows())
+        EngineCurvePoint(t, ledger, mode, eta, carnot)
+        for t, (ledger, mode, eta), carnot in zip(
+            t_hot.tolist(), cycles.rows(), eta_carnot.tolist()
+        )
     ]
+
+
+_CURVE_HEADER = b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode\n"
+_CURVE_ROW = b",".join([b"%s"] * 9)
+_MODE_TOKENS = np.array([mode.token.encode() for mode in _MODES], dtype=object)
+
+
+def _curve_csv(
+    t_hot: np.ndarray,
+    cycles: _Evaluation,
+    eta_carnot: np.ndarray,
+    eta_absent: np.ndarray | None = None,
+) -> bytes:
+    """The engine-curve CSV of the columns that :func:`_evaluate_curve`
+    returns.
+
+    ``eta_absent`` marks the rows whose efficiency field is empty; it
+    defaults to the rows outside heat-engine operation.
+    """
+    if eta_absent is None:
+        eta_absent = cycles.code != _ENGINE
+    values = np.column_stack(
+        (
+            t_hot, cycles.q_ab, cycles.q_bc, cycles.q_cd, cycles.q_da,
+            cycles.work, cycles.eta, eta_carnot,
+        )
+    )
+    values[:, 1:6] *= KB_EV_PER_K
+    # An absent efficiency is written as an empty field, so its NaN need
+    # not go through _format_17g's slow path for non-finite values.
+    values[eta_absent, 6] = 1.0
+    fields = np.array(_format_17g(values), dtype=object).reshape(values.shape)
+    fields[eta_absent, 6] = b""
+    table = np.column_stack((fields, _MODE_TOKENS[cycles.code]))
+    rows = b"\n".join([_CURVE_ROW] * len(table))
+    return _CURVE_HEADER + rows % tuple(table.ravel().tolist()) + b"\n"
 
 
 def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:
@@ -590,27 +645,23 @@ def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:
 
     Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
     eta_carnot, mode.  Floats are written as ``%.17g``.  A missing
-    efficiency (non-engine point) is an empty field.
+    efficiency (``eta`` None, as at every non-engine point) is an empty
+    field.
     """
     if not points:
         raise ValidationError("engine_curve_csv requires a non-empty curve")
-    values = np.array(
+    t_hot, *ledger, eta, eta_carnot = np.array(
         [
             (
                 point.t_hot, point.ledger.q_ab, point.ledger.q_bc,
                 point.ledger.q_cd, point.ledger.q_da, point.ledger.work,
+                point.ledger.q_in, point.ledger.q_out,
                 math.nan if point.eta is None else point.eta, point.eta_carnot,
             )
             for point in points
         ]
-    )
-    values[:, 1:6] *= KB_EV_PER_K
-    fields = _format_17g(values)
-    width = values.shape[1]
-    lines = [b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode"]
-    for k, point in enumerate(points):
-        row = fields[k * width : (k + 1) * width]
-        if point.eta is None:
-            row[6] = b""
-        lines.append(b",".join([*row, point.mode.token.encode()]))
-    return b"\n".join(lines) + b"\n"
+    ).T
+    code = np.array([_MODES.index(point.mode) for point in points])
+    cycles = _Evaluation(*ledger, code=code, eta=eta)
+    eta_absent = np.array([point.eta is None for point in points])
+    return _curve_csv(t_hot, cycles, eta_carnot, eta_absent)

@@ -20,7 +20,12 @@ from spin_stirling.cli import (
     main,
     schema_text,
 )
-from spin_stirling.magnetometry import bleaney_bowers_chi
+from spin_stirling.core import Coupling
+from spin_stirling.magnetometry import (
+    bleaney_bowers_chi,
+    engine_curve,
+    engine_curve_csv,
+)
 
 CYCLE_ARGS = ["cycle", "--ja-k", "-42", "--jb-k", "-32", "--th", "40", "--tc", "20"]
 
@@ -318,6 +323,21 @@ class TestEngineCurveCommand:
         assert main(args) == EXIT_OK
         assert len(out.read_bytes().splitlines()) == 2
 
+    def test_mixed_mode_curve_matches_the_library(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        args = [
+            "engine-curve", "--ja-k", "10", "--jb-k", "-50", "--tc", "5",
+            "--th-min", "5.05", "--th-max", "335", "--steps", "60",
+            "--out", str(out),
+        ]
+        assert main(args) == EXIT_OK
+        axis = np.linspace(5.05, 335.0, 60).tolist()
+        points = engine_curve(Coupling(10.0), Coupling(-50.0), 5.0, axis)
+        modes = [point.mode.token for point in points]
+        assert modes == ["heat_engine"] + ["accelerator"] * 59
+        assert out.read_bytes() == engine_curve_csv(points)
+        assert "points 60 heat_engine 1" in capsys.readouterr().out.splitlines()
+
     def test_rejects_nonpositive_steps(self, tmp_path):
         args = self.BASE + ["--steps", "0", "--out", str(tmp_path / "c.csv")]
         assert main(args) == EXIT_VALIDATION
@@ -469,8 +489,16 @@ class TestExitCodes:
 
 
 class TestRepeatedCalls:
+    def test_the_parser_is_built_once(self, capsys):
+        assert main(CYCLE_ARGS) == EXIT_OK
+        parser = cli._build_parser()
+        assert main(["cycle", "--help"]) == EXIT_OK
+        assert cli._build_parser() is parser
+
     def test_repeated_calls_do_not_depend_on_order(self, tmp_path, capsys):
         data = write_synthetic_data(tmp_path / "chi.csv")
+        config = tmp_path / "cycle.ini"
+        config.write_text("[cycle]\njson = true\n")
         out = tmp_path / "out"
         sequence = [
             CYCLE_ARGS + ["--json"],
@@ -479,6 +507,8 @@ class TestRepeatedCalls:
             ["fit", "--data", str(data)],
             TestEngineCurveCommand.BASE + ["--steps", "7", "--out", str(out)],
             ["--help"],
+            CYCLE_ARGS + ["--config", str(config)],
+            ["cycle", "--help"],
             CYCLE_ARGS,
         ]
 
@@ -495,6 +525,11 @@ class TestRepeatedCalls:
         backward = [run(argv) for argv in reversed(sequence)][::-1]
         assert forward == backward
         codes = [code for code, *_ in forward]
-        assert codes == [EXIT_OK, EXIT_VALIDATION] + [EXIT_OK] * 5
+        assert codes == [EXIT_OK, EXIT_VALIDATION] + [EXIT_OK] * 7
         assert "invalid float value" in forward[1][2]
         assert "usage: spin-stirling" in forward[5][1]
+        # The parser is built once per process; a config value and a
+        # help request leave nothing behind in it.
+        assert forward[6] == forward[0]
+        assert forward[7][1].startswith("usage: spin-stirling cycle")
+        assert forward[8][1].startswith("# ja_k = -42.0\n")

@@ -272,6 +272,20 @@ class TestCurieRegimeWarning:
         with pytest.warns(CurieRegimeWarning):
             assemble_ledger(ref_spec())  # 40 K hot bath vs |J_B| = 32 K
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [40.0]),
+            lambda: assemble_ledger(ref_spec()),
+            lambda: efficiency(ref_spec()),
+        ],
+        ids=["engine_curve", "assemble_ledger", "efficiency"],
+    )
+    def test_warning_names_the_callers_file(self, call):
+        with pytest.warns(CurieRegimeWarning) as record:
+            call()
+        assert [warning.filename for warning in record] == [__file__]
+
     def test_silent_deep_in_the_exchange_regime(self):
         spec = CycleSpec.from_values(-200.0, -100.0, 50.0, 40.0)
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Tests for susceptibility ingestion, Bleaney-Bowers fitting, and the
 pressure-axis helpers built on top of the fit."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from importlib import resources
 
@@ -498,6 +499,46 @@ class TestEngineCurve:
         assert first[-1] == "heat_engine"
         # Heats are reported in eV, so they sit far below the kelvin scale.
         assert abs(float(first[1])) < 1e-3
+
+    def test_csv_blanks_exactly_the_missing_efficiencies(self):
+        (engine,) = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [26.0])
+        (fridge,) = engine_curve(Coupling(-16.0), Coupling(-32.0), 20.0, [26.0])
+        points = [
+            engine,
+            dataclasses.replace(engine, eta=None),
+            fridge,
+            dataclasses.replace(fridge, eta=math.nan),
+        ]
+        rows = [line.split(",") for line in engine_curve_csv(points).decode().splitlines()]
+        assert [row[6] for row in rows[1:]] == ["%.17g" % engine.eta, "", "", "nan"]
+        assert [row[8] for row in rows[1:]] == [
+            "heat_engine", "heat_engine", "refrigerator", "refrigerator"
+        ]
+
+    # Small-mix's curve requests: couplings in +-200 K, a cold bath of
+    # 5 to 50 K and up to 330 points from just above it.
+    @given(
+        j_a=st.floats(min_value=-200.0, max_value=200.0),
+        j_b=st.floats(min_value=-200.0, max_value=200.0),
+        t_cold=st.floats(min_value=5.0, max_value=50.0),
+        start=st.floats(min_value=1.01, max_value=1.5),
+        span=st.floats(min_value=50.0, max_value=350.0),
+        steps=st.integers(min_value=1, max_value=330),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(j_a=10.0, j_b=-50.0, t_cold=5.0, start=1.01, span=329.95, steps=60)
+    def test_column_writer_matches_the_point_writer(
+        self, j_a, j_b, t_cold, start, span, steps
+    ):
+        assume(j_a != j_b)
+        j_a, j_b = Coupling(j_a), Coupling(j_b)
+        axis = np.linspace(t_cold * start, t_cold * start + span, steps).tolist()
+        t_hot, cycles, eta_carnot = mag._evaluate_curve(j_a, j_b, t_cold, axis)
+        assert mag._curve_csv(t_hot, cycles, eta_carnot) == engine_curve_csv(
+            engine_curve(j_a, j_b, t_cold, axis)
+        )
+        per_point = np.array([1.0 - t_cold / t for t in axis])
+        assert np.array_equal(eta_carnot.view(np.int64), per_point.view(np.int64))
 
     def test_csv_rejects_empty_curves(self):
         with pytest.raises(ValidationError):

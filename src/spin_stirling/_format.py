@@ -7,12 +7,16 @@ writer fails the same way.  Exports write every float as ``%.17g``
 (17 significant digits, exact under roundtrip).  Formatting each value
 through Python would cost most of a mode-map export, so
 :func:`_format_17g` produces the same bytes for a whole array at once
-and hands Python only the values it cannot certify.
+and hands Python only the values it cannot certify.  Its inverse,
+:func:`_parse_17g`, reads a matrix of decimal fields back into the
+doubles that ``float()`` gives, with the same power-of-ten table, and
+likewise hands ``float()`` only the fields it cannot certify.
 """
 
 from __future__ import annotations
 
 import contextlib
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -264,3 +268,185 @@ def _format_17g(values: np.ndarray) -> list[bytes]:
     for k in np.flatnonzero(~ok).tolist():
         texts[k] = b"%.17g" % x[k]
     return texts
+
+
+# Reading.  A field is a row of a uint8 matrix, NUL-padded on the right.
+# Its digit values are copied behind _TEXT_WIDTH zero bytes, so that the
+# _TEXT_WIDTH bytes ending at any column of a field are its digits up to
+# that column, right-aligned, with every other byte (sign, point, 'e' and
+# the padding) read as a 0 digit.  SWAR arithmetic on the three 64-bit
+# words of such a window gives its value as a 24-digit integer.
+
+#: Rows per block of :func:`_parse_17g`; a block's temporaries stay in
+#: the CPU cache.
+_PARSE_ROWS = 8192
+#: The grammar that :func:`_parse_17g` reads itself.
+_PLAIN = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+#: 10**k for k up to 19, the powers that fit a uint64.
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+#: _POWERS_OF_TEN row by row: one take gathers a field's four columns.
+_POWERS_BY_ROW = np.ascontiguousarray(_POWERS_OF_TEN.T)
+#: The largest exponent a certified field may scale by: below 1e19 times
+#: 1e289 a product cannot overflow.
+_Q_MAX = 289
+_U64 = np.uint64
+#: Top byte of ``flags * _BYTE_ONES``: the number of set flag bytes.
+_BYTE_ONES = _U64(0x0101010101010101)
+#: Top byte of ``flags * _BYTE_INDEX``: the sum of the set flag bytes' indices.
+_BYTE_INDEX = _U64(0x0001020304050607)
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte window of a flat uint8 array, as one item per
+    start offset, without copying."""
+    return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
+
+
+def _flag_columns(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set 0/1 bytes per row of a (n, 3) word view of a flag matrix, and
+    the sum of their columns."""
+    # Each byte of these sums is at most 3, so no partial product carries
+    # into the top byte.
+    total = words[:, 0] + words[:, 1] + words[:, 2]
+    later = words[:, 1] + words[:, 2] + words[:, 2]  # word j counted j times
+    count = (total * _BYTE_ONES) >> _U64(56)
+    columns = (total * _BYTE_INDEX) >> _U64(56)
+    columns += ((later * _BYTE_ONES) >> _U64(56)) << _U64(3)
+    return count.astype(np.intp), columns.astype(np.intp)
+
+
+def _window_values(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each window's 24 digit values (first most significant) as an integer
+    modulo 2**64, and whether that integer is below 10**19 (and so exact)."""
+    v = windows.view(np.uint64).reshape(-1, 3)
+    v = (v * _U64(2561)) >> _U64(8)  # 2-digit groups
+    v = ((v & _U64(0x00FF00FF00FF00FF)) * _U64(6553601)) >> _U64(16)  # 4-digit
+    v = ((v & _U64(0x0000FFFF0000FFFF)) * _U64(42949672960001)) >> _U64(32)
+    return v[:, 0] * _U64(10**16) + v[:, 1] * _U64(10**8) + v[:, 2], v[:, 0] < 1000
+
+
+def _parse_block(text, digits, windows) -> tuple[np.ndarray, ...]:
+    """Values, grammar mask and certified mask of a block of (k,
+    _TEXT_WIDTH) fields; ``digits`` is the zero-prefixed digit buffer and
+    ``windows`` its _TEXT_WIDTH-byte windows."""
+    k = len(text)
+    digit = text - np.uint8(ord("0"))
+    is_digit = digit < 10
+    np.multiply(digit, is_digit, out=digits[:k, _TEXT_WIDTH:])
+    es = ((text | np.uint8(0x20)) == ord("e")).view(np.uint64)
+    # The non-NUL bytes fill columns 0..length-1 exactly when their
+    # columns sum to length * (length - 1) / 2, the least sum possible.
+    length, columns = _flag_columns((text != 0).view(np.uint64))
+    padded = columns == length * (length - 1) // 2
+    negative = text[:, 0] == ord("-")
+    # The point's column, exact when the field has one point.
+    points, point = _flag_columns((text == ord(".")).view(np.uint64))
+    has_point = points > 0
+    # The mantissa ends at the 'e', or at the field's end.
+    end = length.copy()
+    rows_e = np.flatnonzero((es[:, 0] | es[:, 1] | es[:, 2]) != 0)
+    if len(rows_e):
+        flags = es[rows_e].view(np.uint8).reshape(-1, _TEXT_WIDTH)
+        end[rows_e] = flags.argmax(axis=1)
+    point = np.where(has_point, point, end)
+    fraction = (end - point - 1) * has_point
+    # The mantissa window reads the point as a 0 digit between the
+    # integer part i and the f fraction digits: v = i * 10**(f + 1) + r
+    # with r < 10**f, so the mantissa i * 10**f + r is v - 9 * i * 10**f.
+    # A certified v is below 1e19, so i is 0 wherever f + 1 passes 19.
+    starts = np.arange(0, 2 * _TEXT_WIDTH * k, 2 * _TEXT_WIDTH)
+    window, ok = _window_values(windows[starts + end])
+    scale = _POW10_U64.take(fraction + 1, mode="clip")
+    nines = (scale - _POW10_U64.take(fraction, mode="clip")) * has_point
+    mantissa = window - (window // scale) * nines
+    exponent = -fraction
+    others = negative.astype(np.intp) + has_point
+    grammar = (point > negative) & ((fraction > 0) | ~has_point)
+    if len(rows_e):
+        # The window ending at the field's end reads the mantissa window
+        # times 10**(length - end) plus the exponent digits.
+        e_end, e_length = end[rows_e], length[rows_e]
+        after = text.ravel().take(
+            rows_e * _TEXT_WIDTH + np.minimum(e_end + 1, _TEXT_WIDTH - 1)
+        )
+        signed = (after == ord("+")) | (after == ord("-"))
+        count = e_length - e_end - 1 - signed
+        whole, _ = _window_values(windows[starts[rows_e] + e_length])
+        power = (
+            whole - window[rows_e] * _POW10_U64.take(e_length - e_end, mode="clip")
+        ).astype(np.intp)
+        small = count <= 4
+        exponent[rows_e] += np.where(after == ord("-"), -power, power) * small
+        ok[rows_e] &= small
+        grammar[rows_e] &= count > 0
+        others[rows_e] += 1 + signed
+    digit_count, _ = _flag_columns(is_digit.view(np.uint64))
+    grammar &= padded & (digit_count + others == length)
+    ok &= grammar & (exponent >= _P_MIN) & (exponent <= _Q_MAX)
+    zero = ok & (mantissa == 0)
+    mantissa = np.where(ok, mantissa, 0)
+    exponent = np.where(ok, exponent, 0)
+
+    # mantissa * 10**exponent as a double-double, rounded once.
+    m_hi = mantissa.astype(np.float64)
+    m_lo = (mantissa - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    hi, hi_high, hi_low, lo = _POWERS_BY_ROW.take(exponent - _P_MIN, axis=0).T
+    a_high, a_low = _split(m_hi)
+    y = m_hi * hi
+    rest = ((a_high * hi_high - y) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest += m_hi * lo + m_lo * hi
+    value = y + rest
+    slip = rest - (value - y)
+    # The rounding stands when the slip is clearly under half the gap to
+    # the next double toward zero, the smaller of the two gaps.
+    gap = value - (value.view(np.int64) - 1).view(np.float64)
+    ok &= np.abs(slip) < (0.5 - _TIE_SLACK) * gap
+    ok |= zero
+    value.view(np.uint64)[...] |= negative.astype(np.uint64) << _U64(63)
+    return value, grammar, ok
+
+
+def _parse_17g(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[float(t) for t in fields]`` as float64, vectorized, bit for bit.
+
+    ``text`` is a (n, width) uint8 matrix with one field per row,
+    NUL-padded on the right.  Returns the values and a mask of the
+    fields in the grammar ``-?D+(.D+)?([eE][+-]?D+)?``.
+
+    A field of the grammar, at most _TEXT_WIDTH bytes long, is read as
+    an integer mantissa m and a decimal exponent q, and m * 10**q is
+    formed as a double-double product with the table of powers of ten
+    and rounded once.  The rounding is accepted only when it is more
+    than _TIE_SLACK of a unit in the last place from a tie.  Every other
+    field goes to ``float()``: text outside the grammar, fields whose
+    digits (the point read as a 0) reach 1e19, exponents of more than
+    four digits, q outside -270..289 (so no result is subnormal or
+    overflows) and near-ties such as ``9007199254740993``.  A field
+    that ``float()`` rejects raises its ``ValueError``.
+    """
+    text = np.ascontiguousarray(text, dtype=np.uint8)
+    n, width = text.shape
+    # Fields longer than _TEXT_WIDTH bytes go to float() whole.
+    wide = text[:, _TEXT_WIDTH:].any(axis=1)
+    fixed = text
+    if width != _TEXT_WIDTH:
+        fixed = np.zeros((n, _TEXT_WIDTH), np.uint8)
+        fixed[:, : min(width, _TEXT_WIDTH)] = text[:, :_TEXT_WIDTH]
+    values = np.empty(n)
+    plain = np.empty(n, bool)
+    certified = np.empty(n, bool)
+    digits = np.zeros((_PARSE_ROWS, 2 * _TEXT_WIDTH), np.uint8)
+    windows = _windows(digits.ravel(), _TEXT_WIDTH)
+    for start in range(0, n, _PARSE_ROWS):
+        block = slice(start, start + _PARSE_ROWS)
+        values[block], plain[block], certified[block] = _parse_block(
+            fixed[block], digits, windows
+        )
+    certified &= ~wide
+    fields = np.flatnonzero(~certified)
+    if len(fields):
+        texts = text[fields].view(f"S{width}").ravel().tolist()
+        values[fields] = [float(t) for t in texts]
+        for k in np.flatnonzero(wide).tolist():
+            plain[k] = _PLAIN.fullmatch(text[k].tobytes().rstrip(b"\0")) is not None
+    return values, plain

@@ -28,6 +28,11 @@ A sweep returns a :class:`ModeMap`, which holds the cells as numpy
 columns and builds :class:`ModeCell` objects only when a caller indexes
 or iterates it.  Exports format those columns a block of rows at a time,
 with a vectorized ``%.17g`` that writes the same bytes as Python's.
+:func:`read_cells` reads a JSON export back as columns: a numpy scan
+checks every byte against the same layout table the export is written
+from, and the numbers go through the vectorized inverse of that
+``%.17g``, which gives the bits ``float()`` gives.  JSON in any other
+layout goes through ``json.loads``, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import dataclasses
 import enum
 import json
 import math
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +50,7 @@ import numpy as np
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
-from ._format import _format_17g, decode, write
+from ._format import _format_17g, _parse_17g, _windows, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -449,6 +455,14 @@ _LAYOUTS = {
 #: Mode code by serialization token.
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
+#: The longest value the layout scan reads; a longer one sends the
+#: export to ``json.loads``.
+_FIELD_WIDTH = 24
+#: Row k keeps the first k bytes of a _FIELD_WIDTH-byte field.
+_FIELD_MASKS = np.uint8(0xFF) * (
+    np.arange(_FIELD_WIDTH) < np.arange(_FIELD_WIDTH + 1)[:, np.newaxis]
+)
+
 
 def _check_format(format: str) -> None:
     if format not in _LAYOUTS:
@@ -550,6 +564,125 @@ def export_to_path(
     write(path, _text_blocks(_as_map(cells, format), format), f"{format} export")
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` at each start, one row per start;
+    bytes past the end of ``buf`` read as NUL."""
+    last = len(buf) - width
+    rows = _windows(buf, width)[np.minimum(starts, last)]
+    rows = rows.view(np.uint8).reshape(len(starts), width)
+    # Rows that run past the end come from a padded copy of the end.
+    over = np.flatnonzero(starts > last)
+    if len(over):
+        rows[over] = _gather(np.pad(buf[last:], (0, width)), starts[over] - last, width)
+    return rows
+
+
+def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
+    """Where the values of ``data`` lie if it is byte for byte an export
+    in ``layout``, else None.
+
+    Returns ``data`` as a uint8 array, and each value's start and length
+    as (rows, columns) arrays.  A numpy scan finds the delimiter bytes,
+    which start the separator and every row piece between two values,
+    takes each value's span from them, and checks every byte of the
+    layout's literals (head, row pieces, separator, tail) around the
+    spans.  The tail stands in for the last row's separator.
+    """
+    pieces = layout.row.split(b"%s")
+    if (
+        b"\0" in data
+        or not data.startswith(layout.head + pieces[0])
+        or not data.endswith(pieces[-1] + layout.tail)
+    ):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    marks = np.flatnonzero(buf == layout.separator[0])
+    per_row = len(pieces) - 1
+    rows = (len(marks) + 1) // per_row
+    if not rows or len(marks) != rows * per_row - 1:
+        return None
+    marks = np.append(marks, len(data) - len(layout.tail)).reshape(rows, per_row)
+    # Value k ends where the literal after it starts.
+    ends = marks - ([0] * (per_row - 1) + [len(pieces[-1])])
+    starts = np.empty_like(ends)
+    starts[0, 0] = len(layout.head)
+    starts[1:, 0] = marks[:-1, -1] + len(layout.separator)
+    starts[:, 1:] = marks[:, :-1]
+    starts += [len(piece) for piece in pieces[:-1]]
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() > _FIELD_WIDTH:
+        return None
+    # The literal after each value, compared as 64-bit words masked to
+    # its length; the last row's is the tail, which endswith has checked.
+    after = [*pieces[1:-1], pieces[-1] + layout.separator + pieces[0]]
+    width = 8 * -(-max(map(len, after)) // 8)
+    template = np.array(after, f"S{width}").view(np.uint64).reshape(per_row, -1)
+    mask = np.array([b"\xff" * len(literal) for literal in after], f"S{width}")
+    found = _gather(buf, ends.ravel(), width).view(np.uint64)
+    found = found.reshape(rows, per_row, width // 8)
+    found[-1, -1] = template[-1]
+    np.bitwise_xor(found, template, out=found)
+    found &= mask.view(np.uint64).reshape(per_row, -1)
+    if found.any():
+        return None
+    return buf, starts, lengths
+
+
+def _fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The values at ``starts``, one NUL-padded _FIELD_WIDTH-byte row each."""
+    fields = _gather(buf, starts.ravel(), _FIELD_WIDTH)
+    fields &= _FIELD_MASKS.take(lengths.ravel(), axis=0)
+    return fields
+
+
+def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The columns of a JSON export that is byte for byte what
+    :func:`export` writes, else None.
+
+    Numbers must be in the JSON grammar and are read by
+    :func:`_parse_17g`; ``null`` may stand only where the schema allows
+    it, and a mode must be one of the layout's tokens.
+    """
+    layout = _LAYOUTS["json"]
+    scan = _scan(data, layout)
+    if scan is None:
+        return None
+    buf, starts, lengths = scan
+    rows = len(starts)
+    mode = _EXPORT_COLUMNS.index("mode")
+    numeric = [k for k in range(len(_EXPORT_COLUMNS)) if k != mode]
+    numbers = _fields(buf, starts[:, numeric].T, lengths[:, numeric].T)
+    first_words = numbers.view(np.uint64)[:, 0]
+    null = first_words == int.from_bytes(layout.nan, "little")
+    if null[: 2 * rows].any():  # coupling_ratio and temp_ratio
+        return None
+    first_words[null] = ord("0")
+    # JSON allows no leading zero before another digit.
+    minus = numbers[:, 0] == ord("-")
+    lead = np.where(minus, numbers[:, 1], numbers[:, 0]) == ord("0")
+    digit = np.where(minus, numbers[:, 2], numbers[:, 1]) - np.uint8(ord("0")) < 10
+    try:
+        values, plain = _parse_17g(numbers)
+    except ValueError:
+        return None
+    if not plain.all() or (lead & digit).any():
+        return None
+    values[null] = math.nan
+
+    # A mode is looked up by its first 8 bytes, then compared whole.
+    tokens = np.array(layout.tokens, f"S{_FIELD_WIDTH}").view(np.uint64)
+    tokens = tokens.reshape(len(layout.tokens), -1)
+    found = _fields(buf, starts[:, mode], lengths[:, mode]).view(np.uint64)
+    order = np.argsort(tokens[:, 0])
+    slots = np.searchsorted(tokens[order, 0], found[:, 0]).clip(max=len(order) - 1)
+    codes = order[slots].astype(np.int8)
+    if not np.array_equal(found, tokens[codes]):
+        return None
+    ratio, temp_ratio, work, q_in, q_out, eta = values.reshape(len(numeric), rows)
+    eta[codes != _ENGINE] = math.nan
+    return ratio, temp_ratio, codes, work, q_in, q_out, eta
+
+
 def _column(convert, fields, dtype, rows, what: str) -> np.ndarray:
     """``convert`` applied to each field; a failure names the field's row."""
     try:
@@ -571,10 +704,12 @@ def _csv_fields(text: str) -> tuple[list[str], list[list[str]]]:
     if not lines or lines[0] != ",".join(_EXPORT_COLUMNS):
         raise ValidationError("CSV header does not match the export contract")
     lines = lines[1:]
+    if not lines:
+        raise ValidationError("CSV export has no rows")
     for line in lines:
         if line.count(",") != len(_EXPORT_COLUMNS) - 1:
             raise ValidationError(f"malformed export row: {line!r}")
-    fields = ",".join(lines).split(",") if lines else []
+    fields = ",".join(lines).split(",")
     columns = [fields[k :: len(_EXPORT_COLUMNS)] for k in range(len(_EXPORT_COLUMNS))]
     modes, eta = columns[2], columns[6]
     # An empty efficiency field is absent (NaN), which the map's column
@@ -589,12 +724,19 @@ def _csv_fields(text: str) -> tuple[list[str], list[list[str]]]:
     return lines, columns
 
 
-def _json_float(value) -> float:
-    return math.nan if value is None else float(value)
+def _json_numbers(values, nullable: bool, rows, what: str) -> np.ndarray:
+    """A column of JSON numbers, and of nulls (as NaN) where ``nullable``;
+    any other value raises, naming its row."""
+    allowed = {float, type(None)} if nullable else {float}
+    if not set(map(type, values)) <= allowed:
+        for value, row in zip(values, rows):
+            if type(value) not in allowed:
+                raise ValidationError(f"bad {what} {value!r} in export row {row!r}")
+    return np.array(values, dtype=float)
 
 
-def _json_fields(text: str) -> tuple[list[dict], list[list]]:
-    """The rows of a JSON export and its seven columns of values."""
+def _json_map(text: str) -> ModeMap:
+    """The cells of a JSON export, read with ``json.loads``."""
     try:
         # Integer literals parse as floats so that ``-0`` keeps its sign.
         rows = json.loads(text, parse_int=float)
@@ -608,20 +750,29 @@ def _json_fields(text: str) -> tuple[list[dict], list[list]]:
         ) from None
     if not isinstance(rows, list):
         raise ValidationError("a JSON export must be an array of rows")
-    for row in rows:
-        if not isinstance(row, dict):
-            raise ValidationError(f"JSON export row is not an object: {row!r}")
-        for key in _EXPORT_COLUMNS:
-            if key not in row:
-                raise ValidationError(f"export row lacks key {key!r}: {row!r}")
-    columns = [[row[key] for row in rows] for key in _EXPORT_COLUMNS]
+    if not rows:
+        raise ValidationError("JSON export has no rows")
+    try:
+        columns = list(zip(*map(operator.itemgetter(*_EXPORT_COLUMNS), rows)))
+    except (KeyError, TypeError):
+        for row in rows:
+            if not isinstance(row, dict):
+                raise ValidationError(f"JSON export row is not an object: {row!r}")
+            for key in _EXPORT_COLUMNS:
+                if key not in row:
+                    raise ValidationError(f"export row lacks key {key!r}: {row!r}")
+        raise
+    ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
+    ratio = _json_numbers(ratio, False, rows, "coupling_ratio")
+    temp_ratio = _json_numbers(temp_ratio, False, rows, "temp_ratio")
+    codes = _column(_CODE_OF_TOKEN.__getitem__, modes, np.int8, rows, "mode")
+    work = _json_numbers(work, True, rows, "work")
+    q_in = _json_numbers(q_in, True, rows, "q_in")
+    q_out = _json_numbers(q_out, True, rows, "q_out")
+    eta = _json_numbers(eta, True, rows, "eta_over_carnot")
     # JSON rows of non-engine modes may carry any efficiency; it is dropped.
-    engine_token = OperationMode.HEAT_ENGINE.token
-    columns[6] = [
-        eta if mode == engine_token else None
-        for mode, eta in zip(columns[2], columns[6])
-    ]
-    return rows, columns
+    eta[codes != _ENGINE] = math.nan
+    return ModeMap(ratio, temp_ratio, codes, work, q_in, q_out, eta)
 
 
 def read_cells(data: bytes, format: str = "csv") -> ModeMap:
@@ -629,30 +780,36 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
 
     Exists mainly so the serialization contract (bit-exact roundtrip)
     is testable and so downstream tools can re-ingest exports.  Input
-    that breaks the contract (a wrong CSV header, a row without seven
-    fields, a non-numeric field, an unknown mode token, a missing JSON
-    key, truncated JSON, or an efficiency present off a heat-engine row
-    or missing on one) raises :class:`ValidationError` naming the row;
+    that breaks the contract (a wrong CSV header, no rows, a row without
+    seven fields, a non-numeric field, an unknown mode token, a missing
+    JSON key, a JSON value of a type the schema does not allow there,
+    truncated JSON, or an efficiency present off a heat-engine row or
+    missing on one) raises :class:`ValidationError` naming the row;
     bytes that are not UTF-8 raise it naming the byte offset, and an
-    unknown format raises it before the bytes are read.
-    A JSON row outside heat-engine mode may carry any efficiency; it is
-    dropped.
+    unknown format raises it before the bytes are read.  JSON values
+    must be numbers, except that the energies and the efficiency may be
+    null (NaN).  A JSON row outside heat-engine mode may carry any
+    efficiency number; it is dropped.
+
+    A JSON export laid out byte for byte as :func:`export` writes it is
+    read column-wise by a layout scan, with no per-row Python work; any
+    other JSON goes through ``json.loads``, so both routes accept the
+    same inputs, give the same bits and raise the same errors.
     """
     _check_format(format)
-    text = decode(data, ValidationError, "export")
-    if format == "csv":
-        rows, columns = _csv_fields(text)
-        number = float
-    else:
-        rows, columns = _json_fields(text)
-        number = _json_float
+    if format == "json":
+        columns = _scanned_columns(data)
+        if columns is not None:
+            return ModeMap(*columns)
+        return _json_map(decode(data, ValidationError, "export"))
+    rows, columns = _csv_fields(decode(data, ValidationError, "export"))
     ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
     return ModeMap(
-        coupling_ratio=_column(number, ratio, float, rows, "coupling_ratio"),
-        temp_ratio=_column(number, temp_ratio, float, rows, "temp_ratio"),
+        coupling_ratio=_column(float, ratio, float, rows, "coupling_ratio"),
+        temp_ratio=_column(float, temp_ratio, float, rows, "temp_ratio"),
         mode_code=_column(_CODE_OF_TOKEN.__getitem__, modes, np.int8, rows, "mode"),
-        work=_column(number, work, float, rows, "work"),
-        q_in=_column(number, q_in, float, rows, "q_in"),
-        q_out=_column(number, q_out, float, rows, "q_out"),
-        eta_over_carnot=_column(number, eta, float, rows, "eta_over_carnot"),
+        work=_column(float, work, float, rows, "work"),
+        q_in=_column(float, q_in, float, rows, "q_in"),
+        q_out=_column(float, q_out, float, rows, "q_out"),
+        eta_over_carnot=_column(float, eta, float, rows, "eta_over_carnot"),
     )

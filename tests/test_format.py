@@ -1,13 +1,14 @@
-"""The vectorized ``%.17g`` formatter against Python's, byte for byte."""
+"""The vectorized ``%.17g`` formatter and reader against Python's, bit for bit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_stirling._format import _format_17g
+from spin_stirling._format import _format_17g, _parse_17g
 
 
 def reference_17g(values):
@@ -75,3 +76,111 @@ class TestFormat17g:
     @given(st.lists(st.floats(), min_size=1, max_size=64))
     def test_floats_match_python(self, values):
         assert _format_17g(np.array(values)) == reference_17g(values)
+
+
+def fields(texts):
+    """NUL-padded rows, at least 24 bytes wide, one per text."""
+    width = max(24, *map(len, texts))
+    matrix = np.array(texts, dtype=f"S{width}").view(np.uint8)
+    return matrix.reshape(len(texts), width)
+
+
+def float_bits(texts):
+    return np.array([float(text) for text in texts]).view(np.int64)
+
+
+def parse_bits(texts):
+    values, _plain = _parse_17g(fields(texts))
+    return values.view(np.int64)
+
+
+PLAIN = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+# Fields of that grammar up to 30 bytes, so some pass the 24-byte width.
+GRAMMAR_SAMPLE = rb"-?[0-9]{1,12}(\.[0-9]{1,12})?([eE][+-]?[0-9]{1,4})?"
+
+
+def accepted(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestParse17g:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+    def test_formatted_bit_patterns_read_back_like_float(self, patterns):
+        texts = _format_17g(np.array(patterns, dtype=np.int64).view(np.float64))
+        assert np.array_equal(parse_bits(texts), float_bits(texts))
+
+    @pytest.mark.parametrize("family", sorted(TestFormat17g.FAMILIES))
+    def test_families_read_back_like_float(self, family):
+        texts = _format_17g(TestFormat17g.FAMILIES[family]())
+        assert np.array_equal(parse_bits(texts), float_bits(texts))
+
+    def test_short_hand_written_forms(self):
+        texts = [b"1.5", b"1e5", b"1E+05", b"-0", b"0.000123", b"7", b"-2.50e-3"]
+        assert np.array_equal(parse_bits(texts), float_bits(texts))
+        assert math.copysign(1.0, _parse_17g(fields([b"-0"]))[0][0]) < 0
+
+    def test_decimal_ties_round_like_float(self):
+        # Each lies halfway between two doubles; float() rounds half to
+        # even: 2**53 + 1 down to 2**53, 2**52 + 1.5 up to 2**52 + 2.
+        texts = [
+            b"9007199254740993", b"9007199254740995", b"4503599627370496.5",
+            b"4503599627370497.5",
+        ]
+        assert np.array_equal(parse_bits(texts), float_bits(texts))
+        values = _parse_17g(fields(texts))[0].tolist()
+        assert values[:4] == [2.0**53, 2.0**53 + 4, 2.0**52, 2.0**52 + 2]
+
+    def test_range_ends_and_long_mantissas_go_to_float(self):
+        texts = [
+            b"1e-400", b"1e400", b"-1e400", b"9999999999999999999e290",
+            # An exponent of 2**64 + 5 - 10**21 + 10**19: read modulo 2**64
+            # with a clipped power of ten, it would come out as 5.
+            b"1e06124179980315787269", b"1234567890123456789012345", b"0e999",
+        ]
+        assert np.array_equal(parse_bits(texts), float_bits(texts))
+        values, plain = _parse_17g(fields(texts))
+        assert values[:5].tolist() == [0.0, math.inf, -math.inf, math.inf, math.inf]
+        assert plain.all()
+
+    def test_text_outside_the_grammar_goes_to_float(self):
+        texts = [b"nan", b"-inf", b"+1", b"1.", b".5", b" 1", b"1_0", b"1.e5"]
+        values, plain = _parse_17g(fields(texts))
+        assert np.array_equal(values.view(np.int64), float_bits(texts))
+        assert not plain.any()
+
+    def test_a_field_float_rejects_raises_its_error(self):
+        with pytest.raises(ValueError, match="could not convert"):
+            _parse_17g(fields([b"1.5", b"1e"]))
+
+    @pytest.mark.parametrize("text", [b"1\x002", b"\x0012", b"12\x00\x003"])
+    def test_a_nul_inside_a_field_is_not_padding(self, text):
+        matrix = np.zeros((1, 24), np.uint8)
+        matrix[0, : len(text)] = np.frombuffer(text, np.uint8)
+        with pytest.raises(ValueError):
+            float(text)
+        with pytest.raises(ValueError):
+            _parse_17g(matrix)
+
+    def test_empty_input(self):
+        values, plain = _parse_17g(np.zeros((0, 24), np.uint8))
+        assert values.shape == plain.shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.from_regex(GRAMMAR_SAMPLE, fullmatch=True), min_size=1))
+    def test_grammar_fields_read_like_float(self, texts):
+        values, plain = _parse_17g(fields(texts))
+        assert np.array_equal(values.view(np.int64), float_bits(texts))
+        assert plain.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("0123456789.eE+-", min_size=1, max_size=8).filter(accepted)))
+    def test_grammar_mask_matches_the_pattern(self, strings):
+        texts = [text.encode() for text in strings] or [b"0"]
+        values, plain = _parse_17g(fields(texts))
+        assert np.array_equal(values.view(np.int64), float_bits(texts))
+        assert plain.tolist() == [PLAIN.fullmatch(text) is not None for text in texts]

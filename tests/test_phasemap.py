@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import jsonschema
@@ -128,6 +129,23 @@ def reference_json(cells):
 
 
 REFERENCE_EXPORTS = {"csv": reference_csv, "json": reference_json}
+
+COLUMNS = (
+    "coupling_ratio", "temp_ratio", "mode_code", "work", "q_in", "q_out",
+    "eta_over_carnot",
+)
+
+
+def assert_same_columns(ours, theirs):
+    """Equal columns; floats bit for bit, with NaN where either has NaN."""
+    for name in COLUMNS:
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype, name
+        if a.dtype == np.float64:
+            nan = np.isnan(a)
+            assert np.array_equal(nan, np.isnan(b)), name
+            a, b = a[~nan].view(np.int64), b[~nan].view(np.int64)
+        assert np.array_equal(a, b), name
 
 
 class TestGridConstruction:
@@ -609,18 +627,7 @@ class TestSerialization:
         cells = sweep(edge_grid())
         assert np.isnan(cells.work).any()
         for fmt in ("csv", "json"):
-            back = read_cells(export(cells, format=fmt), format=fmt)
-            assert np.array_equal(back.mode_code, cells.mode_code)
-            for name in (
-                "coupling_ratio", "temp_ratio", "work", "q_in", "q_out",
-                "eta_over_carnot",
-            ):
-                ours, theirs = getattr(cells, name), getattr(back, name)
-                nan = np.isnan(ours)
-                assert np.array_equal(nan, np.isnan(theirs)), (fmt, name)
-                assert np.array_equal(
-                    ours[~nan].view(np.int64), theirs[~nan].view(np.int64)
-                ), (fmt, name)
+            assert_same_columns(read_cells(export(cells, format=fmt), format=fmt), cells)
 
     def test_flagged_json_export_matches_the_schema(self):
         data = export(sweep(edge_grid()), format="json")
@@ -676,6 +683,17 @@ class TestExportBytes:
         export_to_path(cells, str(target), format=fmt)
         assert target.read_bytes() == expected
 
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_json_exports_are_read_by_the_layout_scan(self, grid, monkeypatch):
+        cells = sweep(self.GRIDS[grid]())
+        data = export(cells, format="json")
+
+        def no_fallback(text):
+            raise AssertionError("the export left the layout scan")
+
+        monkeypatch.setattr(phasemap, "_json_map", no_fallback)
+        assert_same_columns(read_cells(data, format="json"), cells)
 
     def test_export_to_path_memory_does_not_grow_with_the_grid(self, tmp_path):
         def peak_bytes(resolution):
@@ -816,3 +834,113 @@ class TestReadCellsErrors:
             if row["mode"] != "heat_engine":
                 row["eta_over_carnot"] = 0.5
         assert read_cells(json.dumps(rows).encode(), format="json") == cells
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("work", b"true"),
+            ("work", b'"1e3"'),
+            ("q_in", b'"nan"'),
+            ("q_out", b"[1.0]"),
+            ("eta_over_carnot", b'"0.5"'),
+            ("coupling_ratio", b"null"),
+            ("temp_ratio", b"null"),
+        ],
+    )
+    def test_json_values_must_have_the_schema_types(self, cells, key, literal):
+        data = re.sub(
+            rb'"%s": [^,}]*' % key.encode(), b'"%s": %s' % (key.encode(), literal),
+            export(cells, format="json"), count=1,
+        )
+        with pytest.raises(ValidationError, match=f"bad {key} .* in export row"):
+            read_cells(data, format="json")
+
+    def test_a_json_export_without_rows_is_rejected(self):
+        with pytest.raises(ValidationError, match="JSON export has no rows"):
+            read_cells(b"[]", format="json")
+
+    def test_a_csv_export_without_rows_is_rejected(self, cells):
+        header = export(cells, format="csv").split(b"\n")[0]
+        with pytest.raises(ValidationError, match="CSV export has no rows"):
+            read_cells(header + b"\n", format="csv")
+
+
+def outcome(read):
+    """What ``read()`` gives: a map, or the text of its ValidationError."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(data):
+    """read_cells agrees with the json.loads reader called directly."""
+    ours = outcome(lambda: read_cells(data, format="json"))
+    theirs = outcome(lambda: phasemap._json_map(data.decode()))
+    assert type(ours) is type(theirs), (ours, theirs)
+    if isinstance(ours, str):
+        assert ours == theirs
+    else:
+        assert_same_columns(ours, theirs)
+
+
+def first(pattern, replacement):
+    return lambda data: re.sub(pattern, replacement, data, count=1)
+
+
+class TestReadPaths:
+    """Exports off the layout go to json.loads, and agree with it."""
+
+    MUTATIONS = {
+        "swapped keys": first(
+            rb'"q_in": ([^,]*), "q_out": ([^,]*)', rb'"q_out": \2, "q_in": \1'
+        ),
+        "extra space": first(rb'"work": ', b'"work":  '),
+        "escaped token": lambda data: data.replace(
+            b'"heat_engine"', b'"heat\\u005fengine"', 1
+        ),
+        "leading zero": first(rb'"coupling_ratio": 1,', b'"coupling_ratio": 01,'),
+        "point without digits": first(
+            rb'"coupling_ratio": 1,', b'"coupling_ratio": 1.,'
+        ),
+        "fraction without integer": first(
+            rb'"coupling_ratio": 0.5,', b'"coupling_ratio": .5,'
+        ),
+        "plus sign": first(rb'"coupling_ratio": 1,', b'"coupling_ratio": +1,'),
+        "NaN literal": first(rb'"work": null', b'"work": NaN'),
+        "duplicate key": first(rb'("work": [^,]*, )', rb"\1\1"),
+        "CRLF": lambda data: data.replace(b"\n", b"\r\n"),
+        "trailing newline": lambda data: data + b"\n",
+        "trailing bytes": lambda data: data + b"x",
+        "long field": first(
+            rb'"temp_ratio": 2,', b'"temp_ratio": 2.0000000000000000000000000,'
+        ),
+        "exponent form": first(rb'"temp_ratio": 2,', b'"temp_ratio": 2E0,'),
+        "unknown mode token": first(rb'"heater"', b'"heatex"'),
+        "renamed key": first(rb'"q_in": ', b'"q_ix": '),
+        "NUL after a value": first(rb'"temp_ratio": 2,', b'"temp_ratio": 2\x00,'),
+        "efficiency off an engine row": first(
+            rb'("mode": "accelerator", [^}]*"eta_over_carnot": )null',
+            rb"\g<1>0.5",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return export(sweep(edge_grid()), format="json")
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutated_exports_read_like_json_loads(self, data, mutation):
+        mutated = self.MUTATIONS[mutation](data)
+        assert mutated != data
+        assert_same_outcome(mutated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.from_regex(rb"-?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+            st.text("0123456789.eE+-nul", min_size=1, max_size=12).map(str.encode),
+        )
+    )
+    def test_any_work_field_reads_like_json_loads(self, data, text):
+        assert_same_outcome(first(rb'"work": [^,]*', b'"work": ' + text)(data))

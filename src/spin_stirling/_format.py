@@ -6,8 +6,9 @@ file; all three raise the package's typed errors, so every reader and
 writer fails the same way.  Exports write every float as ``%.17g``
 (17 significant digits, exact under roundtrip).  Formatting each value
 through Python would cost most of a mode-map export, so
-:func:`_format_17g` produces the same bytes for a whole array at once
-and hands Python only the values it cannot certify.  Its inverse,
+:func:`_text_17g` produces the same bytes for a whole array at once, as
+a NUL-padded byte matrix, and hands Python only the values it cannot
+certify; :func:`_format_17g` gives them as a list.  Its inverse,
 :func:`_parse_17g`, reads a matrix of decimal fields back into the
 doubles that ``float()`` gives, with the same power-of-ten table, and
 likewise hands ``float()`` only the fields it cannot certify.
@@ -230,8 +231,9 @@ def _decimal_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, source, row
 
 
-def _format_17g(values: np.ndarray) -> list[bytes]:
-    """``[b"%.17g" % v for v in values]``, vectorized, byte for byte.
+def _text_17g(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` of each value as a row of a (n, _TEXT_WIDTH) uint8
+    matrix, NUL-padded on the right, byte for byte.
 
     Each value's 17 significant digits are the correctly rounded
     integer part of |x| * 10**p, computed as a double-double product
@@ -240,17 +242,17 @@ def _format_17g(values: np.ndarray) -> list[bytes]:
     [1e16, 1e17).  A rounding is accepted only when the scaled fraction
     is more than _TIE_SLACK from 0.5.  Zero, non-finite values, values
     outside the table's range and near-ties (including exact decimal
-    ties, which round half to even) are formatted by Python instead.
+    ties, which round half to even) are formatted by Python instead,
+    and their text is written into their rows.
 
     The text is gathered from each value's digit, exponent and sign
     bytes by a column permutation per layout (sign, fixed decimal-point
     position or exponent form), with values grouped by layout through
-    one stable argsort, and cut to length with NUL padding that the
-    ``S24`` view's ``tolist`` strips.
+    one stable argsort, and cut to length with NUL padding.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if not len(x):
-        return []
+        return np.zeros((0, _TEXT_WIDTH), np.uint8)
     ok, source, row = _decimal_bytes(x)
     layout = _LAYOUT.take(row)
     order = np.argsort(layout, kind="stable")
@@ -264,10 +266,19 @@ def _format_17g(values: np.ndarray) -> list[bytes]:
     unsort[order] = np.arange(len(order))
     text = text.take(unsort, axis=0)
     text *= np.arange(_TEXT_WIDTH, dtype=np.int8) < _LENGTH.take(row)[:, np.newaxis]
-    texts = text.view(f"S{_TEXT_WIDTH}").ravel().tolist()
-    for k in np.flatnonzero(~ok).tolist():
-        texts[k] = b"%.17g" % x[k]
-    return texts
+    fallback = np.flatnonzero(~ok)
+    if len(fallback):
+        texts = [b"%.17g" % v for v in x[fallback].tolist()]
+        text[fallback] = np.array(texts, f"S{_TEXT_WIDTH}").view(np.uint8).reshape(
+            len(fallback), _TEXT_WIDTH
+        )
+    return text
+
+
+def _format_17g(values: np.ndarray) -> list[bytes]:
+    """``[b"%.17g" % v for v in values]``: the rows of :func:`_text_17g`
+    with their padding stripped."""
+    return _text_17g(values).view(f"S{_TEXT_WIDTH}").ravel().tolist()
 
 
 # Reading.  A field is a row of a uint8 matrix, NUL-padded on the right.

@@ -26,11 +26,14 @@ to accelerators.  Sweeps are serial and deterministic.
 
 A sweep returns a :class:`ModeMap`, which holds the cells as numpy
 columns and builds :class:`ModeCell` objects only when a caller indexes
-or iterates it.  Exports format those columns a block of rows at a time,
-with a vectorized ``%.17g`` that writes the same bytes as Python's.
-:func:`read_cells` reads a JSON export back as columns: a numpy scan
-checks every byte against the same layout table the export is written
-from, and the numbers go through the vectorized inverse of that
+or iterates it.  Exports write those columns a block of rows at a time,
+as one byte matrix per block: the layout's literals sit in fixed
+columns, each value's text (from a vectorized ``%.17g`` that writes the
+same bytes as Python's) fills a NUL-padded slot, and the padding is
+dropped in one step.  A JSON export refuses the values JSON cannot
+hold.  :func:`read_cells` reads a JSON export back as columns: a numpy
+scan checks every byte against the same layout table the export is
+written from, and the numbers go through the vectorized inverse of that
 ``%.17g``, which gives the bits ``float()`` gives.  JSON in any other
 layout goes through ``json.loads``, with the same results and errors.
 """
@@ -50,7 +53,7 @@ import numpy as np
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
-from ._format import _format_17g, _parse_17g, _windows, decode, write
+from ._format import _parse_17g, _text_17g, _windows, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -455,8 +458,9 @@ _LAYOUTS = {
 #: Mode code by serialization token.
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
-#: The longest value the layout scan reads; a longer one sends the
-#: export to ``json.loads``.
+#: The width of a value's slot: the longest ``%.17g`` text, which an
+#: export pads to it, and the longest value the layout scan reads (a
+#: longer one sends the export to ``json.loads``).
 _FIELD_WIDTH = 24
 #: Row k keeps the first k bytes of a _FIELD_WIDTH-byte field.
 _FIELD_MASKS = np.uint8(0xFF) * (
@@ -472,68 +476,114 @@ def _check_format(format: str) -> None:
 
 
 def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
-    """Check an export request and convert plain cell sequences to columns."""
+    """Check an export request and convert plain cell sequences to columns.
+
+    A JSON export refuses the values JSON cannot hold: an infinity in
+    any column, and NaN (which JSON writes as null) in a ratio column.
+    """
     if not len(cells):
         raise ValidationError("export requires a non-empty cell list")
     _check_format(format)
-    if isinstance(cells, ModeMap):
-        return cells
-    rows = [
-        (
-            cell.coupling_ratio, cell.temp_ratio, _CODE_OF_TOKEN[cell.mode.token],
-            cell.work, cell.q_in, cell.q_out,
-            math.nan if cell.eta_over_carnot is None else cell.eta_over_carnot,
-        )
-        for cell in cells
-    ]
-    return ModeMap(*(np.array(column) for column in zip(*rows)))
+    if not isinstance(cells, ModeMap):
+        rows = [
+            (
+                cell.coupling_ratio, cell.temp_ratio, _CODE_OF_TOKEN[cell.mode.token],
+                cell.work, cell.q_in, cell.q_out,
+                math.nan if cell.eta_over_carnot is None else cell.eta_over_carnot,
+            )
+            for cell in cells
+        ]
+        cells = ModeMap(*(np.array(column) for column in zip(*rows)))
+    if format == "json":
+        for name in _EXPORT_COLUMNS:
+            if name == "mode":
+                continue
+            column = getattr(cells, name)
+            ratio = name in ("coupling_ratio", "temp_ratio")
+            bad = ~np.isfinite(column) if ratio else np.isinf(column)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValidationError(
+                    f"a JSON export cannot hold {name} {float(column[k])!r} "
+                    f"at cell {k}"
+                )
+    return cells
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as NUL-padded rows of a (n, _FIELD_WIDTH) uint8 matrix."""
+    return np.array(texts, f"S{_FIELD_WIDTH}").view(np.uint8).reshape(
+        len(texts), _FIELD_WIDTH
+    )
+
+
+def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
+    """:func:`_text_17g` of ``values``, with the padded row ``nan`` for NaN."""
+    missing = np.isnan(values)
+    text = _text_17g(np.where(missing, 1.0, values))
+    text[missing] = nan
+    return text
 
 
 def _text_blocks(cells: ModeMap, format: str) -> Iterator[bytes]:
     """Yield the export bytes of ``cells``, ``_BLOCK_ROWS`` rows at a time.
 
     Every float is written as Python's ``%.17g`` would write it (17
-    significant digits, exact under roundtrip); JSON writes NaN as
-    ``null``.  Within a block each distinct value is formatted once,
-    keyed on its bit pattern so that ``-0.0`` and ``0.0`` stay apart,
-    by :func:`_format_17g`.  A text table then holds those values, the
-    absent efficiency and the mode tokens, each row's seven fields index
-    it, and the rows are laid out by one ``%`` operation.
+    significant digits, exact under roundtrip); NaN is written as the
+    layout's ``nan`` and an absent efficiency as its ``absent``.
+
+    A block is one uint8 matrix with a row per cell: the layout's row
+    pieces and separator sit in fixed columns, with a _FIELD_WIDTH-byte
+    slot for each value, and every slot is filled from a NUL-padded
+    text matrix (:func:`_text_17g`, or a mode token).  The ratio columns
+    hold few distinct values, so each is deduped once per export, keyed
+    on bit patterns so that ``-0.0`` and ``0.0`` stay apart, and its
+    texts are gathered per block; the energies are formatted directly,
+    and the efficiency on engine cells only.  Dropping the NUL bytes
+    turns the matrix into the block's text in one step.
     """
     layout = _LAYOUTS[format]
-    numeric = (
-        cells.coupling_ratio, cells.temp_ratio, cells.work, cells.q_in,
-        cells.q_out, cells.eta_over_carnot,
+    *pieces, last = layout.row.split(b"%s")
+    template = bytearray()
+    slots = []
+    for piece in pieces:
+        template += piece
+        slots.append(slice(len(template), len(template) + _FIELD_WIDTH))
+        template += bytes(_FIELD_WIDTH)
+    template += last + layout.separator
+    ratio, temp_ratio, mode, work, q_in, q_out, eta = slots
+    nan, absent = _padded([layout.nan, layout.absent])
+    tokens = _padded(layout.tokens)
+    deduped = []
+    for slot, column in ((ratio, cells.coupling_ratio), (temp_ratio, cells.temp_ratio)):
+        keys, index = np.unique(column.view(np.int64), return_inverse=True)
+        deduped.append((slot, _texts(keys.view(np.float64), nan), index))
+    matrix = np.tile(
+        np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, len(cells)), 1)
     )
     yield layout.head
     for start in range(0, len(cells), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(cells))
-        values = np.stack([column[start:stop] for column in numeric])
-        keys, slots = np.unique(values.view(np.int64), return_inverse=True)
-        floats = keys.view(np.float64)
-        texts = _format_17g(floats)
-        for k in np.flatnonzero(np.isnan(floats)).tolist():
-            texts[k] = layout.nan
-        # The table holds the distinct values, the absent efficiency
-        # (slot len(keys)), then the mode tokens.
-        table = np.array([*texts, layout.absent, *layout.tokens], dtype=object)
-        slots = slots.reshape(values.shape)
-        codes = cells.mode_code[start:stop].astype(np.intp)
-        fields = np.stack(
-            [
-                slots[0],
-                slots[1],
-                len(keys) + 1 + codes,
-                slots[2],
-                slots[3],
-                slots[4],
-                np.where(codes == _ENGINE, slots[5], len(keys)),
-            ],
-            axis=1,
-        )
-        rows = layout.separator.join([layout.row] * (stop - start))
-        text = rows % tuple(table[fields].ravel().tolist())
-        yield layout.separator + text if start else text
+        rows = stop - start
+        block = matrix[:rows]
+        for slot, texts, index in deduped:
+            block[:, slot] = texts[index[start:stop]]
+        codes = cells.mode_code[start:stop]
+        engine = codes == _ENGINE
+        block[:, mode] = tokens[codes]
+        # One formatting call per block, energies then efficiencies: a
+        # call costs a fixed 0.2 ms or so on top of its values.
+        values = [c[start:stop] for c in (cells.work, cells.q_in, cells.q_out)]
+        values.append(cells.eta_over_carnot[start:stop][engine])
+        texts = _texts(np.concatenate(values), nan)
+        for k, slot in enumerate((work, q_in, q_out)):
+            block[:, slot] = texts[k * rows : (k + 1) * rows]
+        block[:, eta] = absent
+        block[engine, eta] = texts[3 * rows :]
+        if stop == len(cells):  # the last row takes the tail, not a separator
+            block[-1, len(template) - len(layout.separator) :] = 0
+        text = block.ravel()
+        yield text[text != 0].tobytes()
     yield layout.tail
 
 
@@ -547,7 +597,9 @@ def export(cells: Sequence[ModeCell], format: str = "csv") -> bytes:
     reproduces the doubles bit-exactly; the mode is its lowercase token.
     An absent efficiency ratio is an empty CSV field or a JSON null; NaN
     energies of flagged cells become JSON nulls because JSON has no NaN
-    literal.
+    literal.  A JSON export of an infinity, or of a NaN ratio, raises
+    :class:`ValidationError` naming the cell and the column; CSV writes
+    them as ``inf`` and ``nan``.
     """
     return b"".join(_text_blocks(_as_map(cells, format), format))
 
@@ -559,7 +611,8 @@ def export_to_path(
 
     Rows are formatted and written a block at a time, so the text held
     in memory does not grow with the number of cells.  OS errors keep
-    the path context.
+    the path context, and cells that :func:`export` refuses raise before
+    the file is opened.
     """
     write(path, _text_blocks(_as_map(cells, format), format), f"{format} export")
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_stirling._format import _format_17g, _parse_17g
+from spin_stirling._format import _format_17g, _parse_17g, _text_17g
 
 
 def reference_17g(values):
@@ -65,6 +65,31 @@ class TestFormat17g:
 
     def test_empty_input(self):
         assert _format_17g(np.array([])) == []
+        text = _text_17g(np.array([]))
+        assert text.shape == (0, 24) and text.dtype == np.uint8
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_text_rows_are_the_list_form(self, family):
+        values = self.FAMILIES[family]()
+        assert _text_17g(values).view("S24").ravel().tolist() == _format_17g(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_text_rows_are_nul_padded(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        for row, expected in zip(_text_17g(values), reference_17g(values)):
+            assert row.tobytes() == expected.ljust(24, b"\0")
+
+    def test_fallback_rows_hold_pythons_bytes(self):
+        # Zeros, non-finite values, the least subnormal and a decimal tie
+        # are all formatted by Python, between two certified values.
+        values = np.array(
+            [1.5, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.0**50 + 0.75, 0.1]
+        )
+        text = _text_17g(values)
+        assert [row.tobytes() for row in text] == [
+            expected.ljust(24, b"\0") for expected in reference_17g(values)
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 import tracemalloc
 
 import jsonschema
@@ -633,6 +634,85 @@ class TestSerialization:
         data = export(sweep(edge_grid()), format="json")
         jsonschema.validate(json.loads(data), json.loads(schema_text("mode_map")))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("coupling_ratio", math.inf),
+            ("temp_ratio", -math.inf),
+            ("work", math.inf),
+            ("q_in", -math.inf),
+            ("q_out", math.inf),
+        ],
+    )
+    def test_json_export_refuses_an_infinity(self, name, value, tmp_path):
+        self.assert_only_csv_holds(name, value, tmp_path)
+
+    @pytest.mark.parametrize("name", ["coupling_ratio", "temp_ratio"])
+    def test_json_export_refuses_a_nan_ratio(self, name, tmp_path):
+        self.assert_only_csv_holds(name, math.nan, tmp_path)
+
+    @staticmethod
+    def assert_only_csv_holds(name, value, tmp_path):
+        edges = sweep(edge_grid())
+        columns = {field: np.array(getattr(edges, field)) for field in COLUMNS}
+        columns[name][5] = value
+        cells = ModeMap(**columns)
+        message = f"cannot hold {name} {value!r} at cell 5"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            export(cells, format="json")
+        target = tmp_path / "map.json"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            export_to_path(cells, str(target), format="json")
+        assert not target.exists()
+        csv = export(cells, format="csv")
+        assert_same_columns(read_cells(csv, format="csv"), cells)
+
+
+FLOAT_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+    -1e-300, math.nan, math.inf, -math.inf,
+)
+
+
+def float_values(json_only):
+    """Doubles from raw bit patterns and edge values; without infinities
+    when ``json_only``."""
+    values = st.one_of(
+        st.integers(0, 2**64 - 1).map(
+            lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+        ),
+        st.sampled_from(FLOAT_EDGES),
+    )
+    return values.filter(lambda v: not math.isinf(v)) if json_only else values
+
+
+@st.composite
+def mode_maps(draw, json_only):
+    """Maps with arbitrary energies, repeating ratios and random modes;
+    ``json_only`` leaves out the values a JSON export refuses."""
+    n = draw(st.integers(1, 40))
+    ratio_values = float_values(json_only)
+    if json_only:
+        ratio_values = ratio_values.filter(math.isfinite)
+
+    def repeating():
+        values = st.one_of(st.just(-0.0), ratio_values)
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+    def energies():
+        return np.array(draw(st.lists(float_values(json_only), min_size=n, max_size=n)))
+
+    mode_codes = st.integers(0, len(OperationMode) - 1)
+    codes = draw(st.lists(mode_codes, min_size=n, max_size=n))
+    efficiency = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    eta = [draw(efficiency) if code == _ENGINE else math.nan for code in codes]
+    return ModeMap(
+        coupling_ratio=repeating(), temp_ratio=repeating(),
+        mode_code=np.array(codes, np.int8), work=energies(), q_in=energies(),
+        q_out=energies(), eta_over_carnot=np.array(eta),
+    )
+
 
 class TestExportBytes:
     GRIDS = {
@@ -683,6 +763,16 @@ class TestExportBytes:
         export_to_path(cells, str(target), format=fmt)
         assert target.read_bytes() == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_maps_match_the_per_cell_reference(self, fmt, data):
+        cells = data.draw(mode_maps(json_only=fmt == "json"))
+        expected = REFERENCE_EXPORTS[fmt](cells)
+        for block_rows in (1, 7, phasemap._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(phasemap, "_BLOCK_ROWS", block_rows)
+                assert export(cells, format=fmt) == expected
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_json_exports_are_read_by_the_layout_scan(self, grid, monkeypatch):

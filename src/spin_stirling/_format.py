@@ -1,4 +1,4 @@
-"""The package's file boundary: text decoding, file writes and float text.
+"""The package's file boundary: text decoding, file writes and table text.
 
 :func:`decode` turns input bytes into text, :func:`decoding` guards a
 read that decodes as it goes, and :func:`write` puts output bytes in a
@@ -8,17 +8,18 @@ writer fails the same way.  Exports write every float as ``%.17g``
 through Python would cost most of a mode-map export, so
 :func:`_text_17g` produces the same bytes for a whole array at once, as
 a NUL-padded byte matrix, and hands Python only the values it cannot
-certify; :func:`_format_17g` gives them as a list.  Its inverse,
-:func:`_parse_17g`, reads a matrix of decimal fields back into the
-doubles that ``float()`` gives, with the same power-of-ten table, and
-likewise hands ``float()`` only the fields it cannot certify.
+certify.  :func:`_table` writes every exported table, the mode maps and
+the engine curve, from such matrices: a block of rows at a time, as one
+byte matrix with the layout's literals in fixed columns.  The inverse of
+``%.17g``, :func:`_parse_17g`, reads a matrix of decimal fields back into
+the doubles that ``float()`` gives, with the same power-of-ten table,
+and likewise hands ``float()`` only the fields it cannot certify.
 """
 
 from __future__ import annotations
 
 import contextlib
-import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def write(path: str, chunks: Iterable[bytes], what: str) -> None:
 
 #: Decimal scales p of the power-of-ten table.  A double whose |x| * 10**p
 #: falls in [1e16, 1e17) for some p in this range is formatted by
-#: :func:`_format_17g` itself; hi and lo of every entry are normal
+#: :func:`_text_17g` itself; hi and lo of every entry are normal
 #: doubles, and no intermediate product can overflow.
 _P_MIN, _P_MAX = -270, 300
 #: 2**27 + 1: Veltkamp's constant, which splits a double into two halves
@@ -73,7 +74,7 @@ def _split(a):
 
 
 def _powers_of_ten() -> np.ndarray:
-    """Columns (hi, hi's high half, hi's low half, lo), p from _P_MIN to _P_MAX.
+    """Rows (hi, hi's high half, hi's low half, lo), p from _P_MIN to _P_MAX.
 
     hi is 10**p rounded to a double and lo is the remainder rounded to a
     double, so hi + lo is 10**p to about 2**-106.  Both come from exact
@@ -91,7 +92,7 @@ def _powers_of_ten() -> np.ndarray:
             num, pow2 = hi.as_integer_ratio()
             lo = (pow2 - num * den) / (pow2 * den)
         rows.append((hi, *_split(hi), lo))
-    return np.array(rows).T.copy()
+    return np.array(rows)
 
 
 def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
@@ -161,18 +162,25 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GATHERS, _LAYOUT, _LENGTH = _layouts()
 
 
+def _times_power(a, p, tail=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(a + tail) * 10**p as a double-double y + rest, for a ``tail`` far
+    below a's last bit: the exact remainder of y = a * hi (Dekker), then
+    a * lo + tail * hi."""
+    hi, hi_high, hi_low, lo = _POWERS_OF_TEN.take(p - _P_MIN, axis=0).T
+    a_high, a_low = _split(a)
+    y = a * hi
+    rest = ((a_high * hi_high - y) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest += a * lo + tail * hi
+    return y, rest
+
+
 def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(a * 10**p) and its fraction, from a double-double product.
 
     Correct to well under _TIE_SLACK where the product lies in
     [1e16, 1e17); there its high part is an integer.
     """
-    hi, hi_high, hi_low, lo = _POWERS_OF_TEN.take(p - _P_MIN, axis=1)
-    a_high, a_low = _split(a)
-    y = a * hi
-    # Dekker's exact remainder of a * hi, plus the low-order term a * lo.
-    rest = ((a_high * hi_high - y) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    rest += a * lo
+    y, rest = _times_power(a, p)
     whole = np.floor(rest)
     return y.astype(np.int64) + whole.astype(np.int64), rest - whole
 
@@ -268,17 +276,72 @@ def _text_17g(values: np.ndarray) -> np.ndarray:
     text *= np.arange(_TEXT_WIDTH, dtype=np.int8) < _LENGTH.take(row)[:, np.newaxis]
     fallback = np.flatnonzero(~ok)
     if len(fallback):
-        texts = [b"%.17g" % v for v in x[fallback].tolist()]
-        text[fallback] = np.array(texts, f"S{_TEXT_WIDTH}").view(np.uint8).reshape(
-            len(fallback), _TEXT_WIDTH
-        )
+        text[fallback] = _padded([b"%.17g" % v for v in x[fallback].tolist()])
     return text
 
 
-def _format_17g(values: np.ndarray) -> list[bytes]:
-    """``[b"%.17g" % v for v in values]``: the rows of :func:`_text_17g`
-    with their padding stripped."""
-    return _text_17g(values).view(f"S{_TEXT_WIDTH}").ravel().tolist()
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as NUL-padded rows of a (n, _TEXT_WIDTH) uint8 matrix."""
+    return np.array(texts, f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
+
+
+def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
+    """:func:`_text_17g` of ``values``, with the padded row ``nan`` for NaN
+    (formatted as 1.0 first, so that it never takes Python's path)."""
+    missing = np.isnan(values)
+    text = _text_17g(np.where(missing, 1.0, values))
+    text[missing] = nan
+    return text
+
+
+#: Rows per block of :func:`_table`, and of the cells a mode map builds
+#: at once; bounds the memory either holds.
+_BLOCK_ROWS = 2048
+
+
+class _Layout(NamedTuple):
+    """The fixed text of one table format around its fields."""
+
+    head: bytes  # before the first row
+    row: bytes  # one row, a ``%s`` per field
+    separator: bytes  # between rows
+    tail: bytes  # after the last row
+    nan: bytes  # a NaN value
+    absent: bytes  # an absent value
+    tokens: list[bytes]  # mode tokens, indexed by mode code
+
+
+def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
+    """Yield the bytes of a table of ``rows`` rows, _BLOCK_ROWS at a time.
+
+    ``fields(start, stop)`` gives the fields of rows ``start:stop``, one
+    NUL-padded (stop - start, _TEXT_WIDTH) uint8 matrix per ``%s`` of
+    ``layout.row``.  A block is one uint8 matrix with a row per table
+    row: the row pieces and the separator sit in fixed columns, with a
+    _TEXT_WIDTH-byte slot for each field.  The last row's separator is
+    zeroed, so the tail follows it, and dropping the NUL bytes turns the
+    matrix into the block's text in one step.
+    """
+    *pieces, last = layout.row.split(b"%s")
+    template = bytearray()
+    slots = []
+    for piece in pieces:
+        template += piece
+        slots.append(slice(len(template), len(template) + _TEXT_WIDTH))
+        template += bytes(_TEXT_WIDTH)
+    template += last + layout.separator
+    matrix = np.tile(np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, rows), 1))
+    yield layout.head
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        block = matrix[: stop - start]
+        for slot, text in zip(slots, fields(start, stop), strict=True):
+            block[:, slot] = text
+        if stop == rows:
+            block[-1, len(template) - len(layout.separator) :] = 0
+        text = block.ravel()
+        yield text[text != 0].tobytes()
+    yield layout.tail
 
 
 # Reading.  A field is a row of a uint8 matrix, NUL-padded on the right.
@@ -291,12 +354,8 @@ def _format_17g(values: np.ndarray) -> list[bytes]:
 #: Rows per block of :func:`_parse_17g`; a block's temporaries stay in
 #: the CPU cache.
 _PARSE_ROWS = 8192
-#: The grammar that :func:`_parse_17g` reads itself.
-_PLAIN = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 #: 10**k for k up to 19, the powers that fit a uint64.
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
-#: _POWERS_OF_TEN row by row: one take gathers a field's four columns.
-_POWERS_BY_ROW = np.ascontiguousarray(_POWERS_OF_TEN.T)
 #: The largest exponent a certified field may scale by: below 1e19 times
 #: 1e289 a product cannot overflow.
 _Q_MAX = 289
@@ -401,11 +460,7 @@ def _parse_block(text, digits, windows) -> tuple[np.ndarray, ...]:
     # mantissa * 10**exponent as a double-double, rounded once.
     m_hi = mantissa.astype(np.float64)
     m_lo = (mantissa - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
-    hi, hi_high, hi_low, lo = _POWERS_BY_ROW.take(exponent - _P_MIN, axis=0).T
-    a_high, a_low = _split(m_hi)
-    y = m_hi * hi
-    rest = ((a_high * hi_high - y) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    rest += m_hi * lo + m_lo * hi
+    y, rest = _times_power(m_hi, exponent, m_lo)
     value = y + rest
     slip = rest - (value - y)
     # The rounding stands when the slip is clearly under half the gap to
@@ -420,29 +475,23 @@ def _parse_block(text, digits, windows) -> tuple[np.ndarray, ...]:
 def _parse_17g(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``[float(t) for t in fields]`` as float64, vectorized, bit for bit.
 
-    ``text`` is a (n, width) uint8 matrix with one field per row,
+    ``text`` is a (n, _TEXT_WIDTH) uint8 matrix with one field per row,
     NUL-padded on the right.  Returns the values and a mask of the
     fields in the grammar ``-?D+(.D+)?([eE][+-]?D+)?``.
 
-    A field of the grammar, at most _TEXT_WIDTH bytes long, is read as
-    an integer mantissa m and a decimal exponent q, and m * 10**q is
-    formed as a double-double product with the table of powers of ten
-    and rounded once.  The rounding is accepted only when it is more
-    than _TIE_SLACK of a unit in the last place from a tie.  Every other
-    field goes to ``float()``: text outside the grammar, fields whose
-    digits (the point read as a 0) reach 1e19, exponents of more than
-    four digits, q outside -270..289 (so no result is subnormal or
-    overflows) and near-ties such as ``9007199254740993``.  A field
-    that ``float()`` rejects raises its ``ValueError``.
+    A field of the grammar is read as an integer mantissa m and a
+    decimal exponent q, and m * 10**q is formed as a double-double
+    product with the table of powers of ten and rounded once.  The
+    rounding is accepted only when it is more than _TIE_SLACK of a unit
+    in the last place from a tie.  Every other field goes to
+    ``float()``: text outside the grammar, fields whose digits (the
+    point read as a 0) reach 1e19, exponents of more than four digits,
+    q outside -270..289 (so no result is subnormal or overflows) and
+    near-ties such as ``9007199254740993``.  A field that ``float()``
+    rejects raises its ``ValueError``.
     """
     text = np.ascontiguousarray(text, dtype=np.uint8)
-    n, width = text.shape
-    # Fields longer than _TEXT_WIDTH bytes go to float() whole.
-    wide = text[:, _TEXT_WIDTH:].any(axis=1)
-    fixed = text
-    if width != _TEXT_WIDTH:
-        fixed = np.zeros((n, _TEXT_WIDTH), np.uint8)
-        fixed[:, : min(width, _TEXT_WIDTH)] = text[:, :_TEXT_WIDTH]
+    n = len(text)
     values = np.empty(n)
     plain = np.empty(n, bool)
     certified = np.empty(n, bool)
@@ -451,13 +500,10 @@ def _parse_17g(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n, _PARSE_ROWS):
         block = slice(start, start + _PARSE_ROWS)
         values[block], plain[block], certified[block] = _parse_block(
-            fixed[block], digits, windows
+            text[block], digits, windows
         )
-    certified &= ~wide
     fields = np.flatnonzero(~certified)
     if len(fields):
-        texts = text[fields].view(f"S{width}").ravel().tolist()
+        texts = text[fields].view(f"S{_TEXT_WIDTH}").ravel().tolist()
         values[fields] = [float(t) for t in texts]
-        for k in np.flatnonzero(wide).tolist():
-            plain[k] = _PLAIN.fullmatch(text[k].tobytes().rstrip(b"\0")) is not None
     return values, plain

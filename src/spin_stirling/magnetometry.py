@@ -44,7 +44,7 @@ from .cycle import (
     _Evaluation,
     _evaluate_cycles,
 )
-from ._format import _format_17g, decoding
+from ._format import _Layout, _padded, _table, _texts, decoding
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -604,9 +604,12 @@ def engine_curve(
     ]
 
 
-_CURVE_HEADER = b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode\n"
-_CURVE_ROW = b",".join([b"%s"] * 9)
-_MODE_TOKENS = np.array([mode.token.encode() for mode in _MODES], dtype=object)
+_CURVE = _Layout(
+    head=b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode\n",
+    row=b",".join([b"%s"] * 9),
+    separator=b"\n", tail=b"\n", nan=b"nan", absent=b"",
+    tokens=[mode.token.encode() for mode in _MODES],
+)
 
 
 def _curve_csv(
@@ -616,10 +619,11 @@ def _curve_csv(
     eta_absent: np.ndarray | None = None,
 ) -> bytes:
     """The engine-curve CSV of the columns that :func:`_evaluate_curve`
-    returns.
+    returns, written by :func:`spin_stirling._format._table`.
 
     ``eta_absent`` marks the rows whose efficiency field is empty; it
-    defaults to the rows outside heat-engine operation.
+    defaults to the rows outside heat-engine operation.  Any other NaN
+    is written as ``nan``.
     """
     if eta_absent is None:
         eta_absent = cycles.code != _ENGINE
@@ -630,14 +634,16 @@ def _curve_csv(
         )
     )
     values[:, 1:6] *= KB_EV_PER_K
-    # An absent efficiency is written as an empty field, so its NaN need
-    # not go through _format_17g's slow path for non-finite values.
-    values[eta_absent, 6] = 1.0
-    fields = np.array(_format_17g(values), dtype=object).reshape(values.shape)
-    fields[eta_absent, 6] = b""
-    table = np.column_stack((fields, _MODE_TOKENS[cycles.code]))
-    rows = b"\n".join([_CURVE_ROW] * len(table))
-    return _CURVE_HEADER + rows % tuple(table.ravel().tolist()) + b"\n"
+    nan, absent = _padded([_CURVE.nan, _CURVE.absent])
+    tokens = _padded(_CURVE.tokens)
+
+    def fields(start: int, stop: int) -> list[np.ndarray]:
+        texts = _texts(values[start:stop].ravel(), nan)
+        texts = texts.reshape(stop - start, values.shape[1], -1)
+        texts[eta_absent[start:stop], 6] = absent
+        return [*texts.swapaxes(0, 1), tokens[cycles.code[start:stop]]]
+
+    return b"".join(_table(_CURVE, len(values), fields))
 
 
 def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:

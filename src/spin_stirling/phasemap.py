@@ -26,16 +26,16 @@ to accelerators.  Sweeps are serial and deterministic.
 
 A sweep returns a :class:`ModeMap`, which holds the cells as numpy
 columns and builds :class:`ModeCell` objects only when a caller indexes
-or iterates it.  Exports write those columns a block of rows at a time,
-as one byte matrix per block: the layout's literals sit in fixed
-columns, each value's text (from a vectorized ``%.17g`` that writes the
-same bytes as Python's) fills a NUL-padded slot, and the padding is
-dropped in one step.  A JSON export refuses the values JSON cannot
-hold.  :func:`read_cells` reads a JSON export back as columns: a numpy
-scan checks every byte against the same layout table the export is
-written from, and the numbers go through the vectorized inverse of that
-``%.17g``, which gives the bits ``float()`` gives.  JSON in any other
-layout goes through ``json.loads``, with the same results and errors.
+or iterates it.  Exports write those columns through the package's one
+table writer (:func:`spin_stirling._format._table`), with each value's
+text from a vectorized ``%.17g`` that writes the same bytes as
+Python's.  A JSON export refuses the values JSON cannot hold, and a JSON
+read refuses them too.  :func:`read_cells` reads a JSON export back as
+columns: a numpy scan checks every byte against the same layout table
+the export is written from, and the numbers go through the vectorized
+inverse of that ``%.17g``, which gives the bits ``float()`` gives.  JSON
+in any other layout goes through ``json.loads``, with the same results
+and errors.
 """
 
 from __future__ import annotations
@@ -46,14 +46,15 @@ import enum
 import json
 import math
 import operator
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
-from ._format import _parse_17g, _text_17g, _windows, decode, write
+from ._format import _BLOCK_ROWS, _TEXT_WIDTH, _Layout, _padded, _parse_17g
+from ._format import _table, _texts, _windows, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -78,10 +79,6 @@ _EXPORT_COLUMNS = (
     "q_out",
     "eta_over_carnot",
 )
-
-#: Rows per block when an export formats its text or a map builds its
-#: cells; bounds the memory either holds at once.
-_BLOCK_ROWS = 2048
 
 
 class Branch(enum.Enum):
@@ -422,35 +419,17 @@ def trace_zero_work_boundary(grid: SweepGrid, temp_ratio: float) -> list[float]:
     return deduped
 
 
-class _Layout(NamedTuple):
-    """The fixed text of one export format around its float fields."""
-
-    head: bytes  # before the first row
-    row: bytes  # one row, a ``%s`` per column
-    separator: bytes  # between rows
-    tail: bytes  # after the last row
-    nan: bytes  # a NaN value
-    absent: bytes  # an absent efficiency
-    tokens: list[bytes]  # mode tokens, indexed by mode code
-
-
 _LAYOUTS = {
     "csv": _Layout(
         head=",".join(_EXPORT_COLUMNS).encode() + b"\n",
         row=b",".join([b"%s"] * len(_EXPORT_COLUMNS)),
-        separator=b"\n",
-        tail=b"\n",
-        nan=b"nan",
-        absent=b"",
+        separator=b"\n", tail=b"\n", nan=b"nan", absent=b"",
         tokens=[mode.token.encode() for mode in _MODES],
     ),
     "json": _Layout(
         head=b"[\n",
         row=("{" + ", ".join(f'"{name}": %s' for name in _EXPORT_COLUMNS) + "}").encode(),
-        separator=b",\n",
-        tail=b"\n]\n",
-        nan=b"null",
-        absent=b"null",
+        separator=b",\n", tail=b"\n]\n", nan=b"null", absent=b"null",
         tokens=[json.dumps(mode.token).encode() for mode in _MODES],
     ),
 }
@@ -458,13 +437,11 @@ _LAYOUTS = {
 #: Mode code by serialization token.
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
-#: The width of a value's slot: the longest ``%.17g`` text, which an
-#: export pads to it, and the longest value the layout scan reads (a
-#: longer one sends the export to ``json.loads``).
-_FIELD_WIDTH = 24
-#: Row k keeps the first k bytes of a _FIELD_WIDTH-byte field.
+#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field.  The
+#: layout scan reads values up to _TEXT_WIDTH bytes long, the longest
+#: ``%.17g`` text; a longer one sends the export to ``json.loads``.
 _FIELD_MASKS = np.uint8(0xFF) * (
-    np.arange(_FIELD_WIDTH) < np.arange(_FIELD_WIDTH + 1)[:, np.newaxis]
+    np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, np.newaxis]
 )
 
 
@@ -475,12 +452,27 @@ def _check_format(format: str) -> None:
         )
 
 
-def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
-    """Check an export request and convert plain cell sequences to columns.
+def _json_values(cells: ModeMap) -> ModeMap:
+    """``cells``, if JSON holds their values: no infinity in any column and
+    no NaN (null) in a ratio column; else a :class:`ValidationError`
+    naming the column and the cell."""
+    for name in _EXPORT_COLUMNS:
+        if name == "mode":
+            continue
+        column = getattr(cells, name)
+        ratio = name in ("coupling_ratio", "temp_ratio")
+        bad = ~np.isfinite(column) if ratio else np.isinf(column)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(
+                f"a JSON export cannot hold {name} {float(column[k])!r} at cell {k}"
+            )
+    return cells
 
-    A JSON export refuses the values JSON cannot hold: an infinity in
-    any column, and NaN (which JSON writes as null) in a ratio column.
-    """
+
+def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
+    """Check an export request and convert plain cell sequences to columns;
+    a JSON export refuses what :func:`_json_values` refuses."""
     if not len(cells):
         raise ValidationError("export requires a non-empty cell list")
     _check_format(format)
@@ -494,97 +486,48 @@ def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
             for cell in cells
         ]
         cells = ModeMap(*(np.array(column) for column in zip(*rows)))
-    if format == "json":
-        for name in _EXPORT_COLUMNS:
-            if name == "mode":
-                continue
-            column = getattr(cells, name)
-            ratio = name in ("coupling_ratio", "temp_ratio")
-            bad = ~np.isfinite(column) if ratio else np.isinf(column)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValidationError(
-                    f"a JSON export cannot hold {name} {float(column[k])!r} "
-                    f"at cell {k}"
-                )
-    return cells
-
-
-def _padded(texts: list[bytes]) -> np.ndarray:
-    """``texts`` as NUL-padded rows of a (n, _FIELD_WIDTH) uint8 matrix."""
-    return np.array(texts, f"S{_FIELD_WIDTH}").view(np.uint8).reshape(
-        len(texts), _FIELD_WIDTH
-    )
-
-
-def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
-    """:func:`_text_17g` of ``values``, with the padded row ``nan`` for NaN."""
-    missing = np.isnan(values)
-    text = _text_17g(np.where(missing, 1.0, values))
-    text[missing] = nan
-    return text
+    return _json_values(cells) if format == "json" else cells
 
 
 def _text_blocks(cells: ModeMap, format: str) -> Iterator[bytes]:
-    """Yield the export bytes of ``cells``, ``_BLOCK_ROWS`` rows at a time.
+    """The export bytes of ``cells``, a block of rows at a time, from
+    :func:`spin_stirling._format._table`.
 
     Every float is written as Python's ``%.17g`` would write it (17
     significant digits, exact under roundtrip); NaN is written as the
-    layout's ``nan`` and an absent efficiency as its ``absent``.
-
-    A block is one uint8 matrix with a row per cell: the layout's row
-    pieces and separator sit in fixed columns, with a _FIELD_WIDTH-byte
-    slot for each value, and every slot is filled from a NUL-padded
-    text matrix (:func:`_text_17g`, or a mode token).  The ratio columns
-    hold few distinct values, so each is deduped once per export, keyed
-    on bit patterns so that ``-0.0`` and ``0.0`` stay apart, and its
-    texts are gathered per block; the energies are formatted directly,
-    and the efficiency on engine cells only.  Dropping the NUL bytes
-    turns the matrix into the block's text in one step.
+    layout's ``nan`` and an absent efficiency as its ``absent``.  The
+    ratio columns hold few distinct values, so each is deduped once per
+    export, keyed on bit patterns so that ``-0.0`` and ``0.0`` stay
+    apart, and its texts are gathered per block; the energies are
+    formatted directly, and the efficiency on engine cells only.
     """
     layout = _LAYOUTS[format]
-    *pieces, last = layout.row.split(b"%s")
-    template = bytearray()
-    slots = []
-    for piece in pieces:
-        template += piece
-        slots.append(slice(len(template), len(template) + _FIELD_WIDTH))
-        template += bytes(_FIELD_WIDTH)
-    template += last + layout.separator
-    ratio, temp_ratio, mode, work, q_in, q_out, eta = slots
     nan, absent = _padded([layout.nan, layout.absent])
     tokens = _padded(layout.tokens)
-    deduped = []
-    for slot, column in ((ratio, cells.coupling_ratio), (temp_ratio, cells.temp_ratio)):
+    ratios = []
+    for column in (cells.coupling_ratio, cells.temp_ratio):
         keys, index = np.unique(column.view(np.int64), return_inverse=True)
-        deduped.append((slot, _texts(keys.view(np.float64), nan), index))
-    matrix = np.tile(
-        np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, len(cells)), 1)
-    )
-    yield layout.head
-    for start in range(0, len(cells), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(cells))
+        ratios.append((_texts(keys.view(np.float64), nan), index))
+
+    def fields(start: int, stop: int) -> list[np.ndarray]:
         rows = stop - start
-        block = matrix[:rows]
-        for slot, texts, index in deduped:
-            block[:, slot] = texts[index[start:stop]]
         codes = cells.mode_code[start:stop]
         engine = codes == _ENGINE
-        block[:, mode] = tokens[codes]
         # One formatting call per block, energies then efficiencies: a
         # call costs a fixed 0.2 ms or so on top of its values.
         values = [c[start:stop] for c in (cells.work, cells.q_in, cells.q_out)]
         values.append(cells.eta_over_carnot[start:stop][engine])
         texts = _texts(np.concatenate(values), nan)
-        for k, slot in enumerate((work, q_in, q_out)):
-            block[:, slot] = texts[k * rows : (k + 1) * rows]
-        block[:, eta] = absent
-        block[engine, eta] = texts[3 * rows :]
-        if stop == len(cells):  # the last row takes the tail, not a separator
-            block[-1, len(template) - len(layout.separator) :] = 0
-        text = block.ravel()
-        yield text[text != 0].tobytes()
-    yield layout.tail
+        eta = np.tile(absent, (rows, 1))
+        eta[engine] = texts[3 * rows :]
+        return [
+            *(ratio_texts[index[start:stop]] for ratio_texts, index in ratios),
+            tokens[codes],
+            *(texts[k * rows : (k + 1) * rows] for k in range(3)),
+            eta,
+        ]
+
+    return _table(layout, len(cells), fields)
 
 
 def export(cells: Sequence[ModeCell], format: str = "csv") -> bytes:
@@ -663,7 +606,7 @@ def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
     starts[:, 1:] = marks[:, :-1]
     starts += [len(piece) for piece in pieces[:-1]]
     lengths = ends - starts
-    if lengths.min() < 1 or lengths.max() > _FIELD_WIDTH:
+    if lengths.min() < 1 or lengths.max() > _TEXT_WIDTH:
         return None
     # The literal after each value, compared as 64-bit words masked to
     # its length; the last row's is the tail, which endswith has checked.
@@ -682,8 +625,8 @@ def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
 
 
 def _fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The values at ``starts``, one NUL-padded _FIELD_WIDTH-byte row each."""
-    fields = _gather(buf, starts.ravel(), _FIELD_WIDTH)
+    """The values at ``starts``, one NUL-padded _TEXT_WIDTH-byte row each."""
+    fields = _gather(buf, starts.ravel(), _TEXT_WIDTH)
     fields &= _FIELD_MASKS.take(lengths.ravel(), axis=0)
     return fields
 
@@ -694,7 +637,9 @@ def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
 
     Numbers must be in the JSON grammar and are read by
     :func:`_parse_17g`; ``null`` may stand only where the schema allows
-    it, and a mode must be one of the layout's tokens.
+    it, and a mode must be one of the layout's tokens.  A number that
+    overflows to an infinity returns None, so that ``json.loads`` raises
+    its error.
     """
     layout = _LAYOUTS["json"]
     scan = _scan(data, layout)
@@ -718,13 +663,12 @@ def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
         values, plain = _parse_17g(numbers)
     except ValueError:
         return None
-    if not plain.all() or (lead & digit).any():
+    if not plain.all() or (lead & digit).any() or np.isinf(values).any():
         return None
     values[null] = math.nan
 
     # A mode is looked up by its first 8 bytes, then compared whole.
-    tokens = np.array(layout.tokens, f"S{_FIELD_WIDTH}").view(np.uint64)
-    tokens = tokens.reshape(len(layout.tokens), -1)
+    tokens = _padded(layout.tokens).view(np.uint64)
     found = _fields(buf, starts[:, mode], lengths[:, mode]).view(np.uint64)
     order = np.argsort(tokens[:, 0])
     slots = np.searchsorted(tokens[order, 0], found[:, 0]).clip(max=len(order) - 1)
@@ -791,8 +735,9 @@ def _json_numbers(values, nullable: bool, rows, what: str) -> np.ndarray:
 def _json_map(text: str) -> ModeMap:
     """The cells of a JSON export, read with ``json.loads``."""
     try:
-        # Integer literals parse as floats so that ``-0`` keeps its sign.
-        rows = json.loads(text, parse_int=float)
+        # Integer literals parse as floats so that ``-0`` keeps its sign;
+        # NaN and Infinity, which JSON lacks, stay text and fail type checks.
+        rows = json.loads(text, parse_int=float, parse_constant=str)
     except json.JSONDecodeError as exc:
         start = text.rfind("\n", 0, exc.pos) + 1
         end = text.find("\n", exc.pos)
@@ -825,7 +770,7 @@ def _json_map(text: str) -> ModeMap:
     eta = _json_numbers(eta, True, rows, "eta_over_carnot")
     # JSON rows of non-engine modes may carry any efficiency; it is dropped.
     eta[codes != _ENGINE] = math.nan
-    return ModeMap(ratio, temp_ratio, codes, work, q_in, q_out, eta)
+    return _json_values(ModeMap(ratio, temp_ratio, codes, work, q_in, q_out, eta))
 
 
 def read_cells(data: bytes, format: str = "csv") -> ModeMap:
@@ -841,8 +786,10 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
     bytes that are not UTF-8 raise it naming the byte offset, and an
     unknown format raises it before the bytes are read.  JSON values
     must be numbers, except that the energies and the efficiency may be
-    null (NaN).  A JSON row outside heat-engine mode may carry any
-    efficiency number; it is dropped.
+    null (NaN).  ``NaN`` and ``Infinity`` literals are not JSON numbers,
+    and a number that overflows a double raises as a JSON export of its
+    infinity would, naming the cell.  A JSON row outside heat-engine
+    mode may carry any efficiency number; it is dropped.
 
     A JSON export laid out byte for byte as :func:`export` writes it is
     read column-wise by a layout scan, with no per-row Python work; any

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from importlib import resources
 
 import spin_stirling.magnetometry as mag
-from spin_stirling import _kernels
-from spin_stirling.constants import CURIE_CONSTANT_EMU_K_PER_MOL
+from spin_stirling import _format, _kernels
+from spin_stirling.constants import CURIE_CONSTANT_EMU_K_PER_MOL, KB_EV_PER_K
 from spin_stirling.core import Coupling
 from spin_stirling.cycle import CycleSpec, OperationMode
 from spin_stirling.errors import DataFormatError, ValidationError
@@ -43,6 +43,20 @@ CHI_M32_T20_G21 = 0.05166959896118547
 # Fixed-g fits of the two bundled digitized datasets, frozen.
 AMBIENT_FIT_J = -32.13087200947598
 PRESSURE_FIT_J = -41.858121157663994
+
+
+def reference_curve_csv(points):
+    """The engine-curve CSV built row by row with Python's ``%.17g``."""
+    lines = [b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode"]
+    for point in points:
+        ledger = point.ledger
+        heats = (ledger.q_ab, ledger.q_bc, ledger.q_cd, ledger.q_da, ledger.work)
+        values = [point.t_hot, *(heat * KB_EV_PER_K for heat in heats)]
+        fields = [b"%.17g" % value for value in values]
+        fields.append(b"" if point.eta is None else b"%.17g" % point.eta)
+        fields += [b"%.17g" % point.eta_carnot, point.mode.token.encode()]
+        lines.append(b",".join(fields))
+    return b"\n".join(lines) + b"\n"
 
 
 def synthetic_csv(j, g, temps=None, header="T_K,chi_emu_mol", extra_lines=()):
@@ -534,9 +548,13 @@ class TestEngineCurve:
         j_a, j_b = Coupling(j_a), Coupling(j_b)
         axis = np.linspace(t_cold * start, t_cold * start + span, steps).tolist()
         t_hot, cycles, eta_carnot = mag._evaluate_curve(j_a, j_b, t_cold, axis)
-        assert mag._curve_csv(t_hot, cycles, eta_carnot) == engine_curve_csv(
-            engine_curve(j_a, j_b, t_cold, axis)
-        )
+        points = engine_curve(j_a, j_b, t_cold, axis)
+        expected = reference_curve_csv(points)
+        assert engine_curve_csv(points) == expected
+        for block_rows in (1, 7, _format._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
+                assert mag._curve_csv(t_hot, cycles, eta_carnot) == expected
         per_point = np.array([1.0 - t_cold / t for t in axis])
         assert np.array_equal(eta_carnot.view(np.int64), per_point.view(np.int64))
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_stirling import _kernels, phasemap
+from spin_stirling import _format, _kernels, phasemap
 from spin_stirling.cli import schema_text
 from spin_stirling.core import Coupling
 from spin_stirling.cycle import (
@@ -757,7 +757,7 @@ class TestExportBytes:
         cells = sweep(edge_grid())
         assert len(cells) % 7 != 0
         expected = export(cells, format=fmt)
-        monkeypatch.setattr(phasemap, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(_format, "_BLOCK_ROWS", block_rows)
         assert export(cells, format=fmt) == expected
         target = tmp_path / f"map.{fmt}"
         export_to_path(cells, str(target), format=fmt)
@@ -769,9 +769,9 @@ class TestExportBytes:
     def test_random_maps_match_the_per_cell_reference(self, fmt, data):
         cells = data.draw(mode_maps(json_only=fmt == "json"))
         expected = REFERENCE_EXPORTS[fmt](cells)
-        for block_rows in (1, 7, phasemap._BLOCK_ROWS):
+        for block_rows in (1, 7, _format._BLOCK_ROWS):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(phasemap, "_BLOCK_ROWS", block_rows)
+                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
                 assert export(cells, format=fmt) == expected
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -944,6 +944,32 @@ class TestReadCellsErrors:
         )
         with pytest.raises(ValidationError, match=f"bad {key} .* in export row"):
             read_cells(data, format="json")
+
+    @pytest.mark.parametrize(
+        "key, literal, message",
+        [
+            ("coupling_ratio", b"NaN", "bad coupling_ratio 'NaN' in export row"),
+            ("temp_ratio", b"Infinity", "bad temp_ratio 'Infinity' in export row"),
+            ("work", b"-Infinity", "bad work '-Infinity' in export row"),
+            ("work", b"-1e400", "cannot hold work -inf at cell 0"),
+            ("q_out", b"1e999", "cannot hold q_out inf at cell 0"),
+            ("coupling_ratio", b"-1e400", "cannot hold coupling_ratio -inf at cell 0"),
+        ],
+        ids=["nan-ratio", "infinity", "minus-infinity", "minus-overflow", "overflow",
+             "ratio-overflow"],
+    )
+    # One space keeps the export's layout, two send it to json.loads.
+    @pytest.mark.parametrize("space", [b" ", b"  "], ids=["layout", "json-loads"])
+    def test_json_reads_refuse_what_json_exports_refuse(
+        self, cells, key, literal, message, space
+    ):
+        data = re.sub(
+            rb'"%s": [^,}]*' % key.encode(), b'"%s":%s%s' % (key.encode(), space, literal),
+            export(cells, format="json"), count=1,
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_cells(data, format="json")
+        assert_same_outcome(data)
 
     def test_a_json_export_without_rows_is_rejected(self):
         with pytest.raises(ValidationError, match="JSON export has no rows"):

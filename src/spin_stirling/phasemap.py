@@ -30,12 +30,12 @@ or iterates it.  Exports write those columns through the package's one
 table writer (:func:`spin_stirling._format._table`), with each value's
 text from a vectorized ``%.17g`` that writes the same bytes as
 Python's.  A JSON export refuses the values JSON cannot hold, and a JSON
-read refuses them too.  :func:`read_cells` reads a JSON export back as
+read refuses them too.  :func:`read_cells` reads either format back as
 columns: a numpy scan checks every byte against the same layout table
 the export is written from, and the numbers go through the vectorized
-inverse of that ``%.17g``, which gives the bits ``float()`` gives.  JSON
-in any other layout goes through ``json.loads``, with the same results
-and errors.
+inverse of that ``%.17g``, which gives the bits ``float()`` gives.  CSV
+that is not export text raises, naming its first bad row; JSON in any
+other layout goes through ``json.loads``, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -437,16 +437,15 @@ _LAYOUTS = {
 #: Mode code by serialization token.
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
-#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field.  The
-#: layout scan reads values up to _TEXT_WIDTH bytes long, the longest
-#: ``%.17g`` text; a longer one sends the export to ``json.loads``.
+#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field; the layout
+#: scan refuses values longer than the longest ``%.17g`` text.
 _FIELD_MASKS = np.uint8(0xFF) * (
     np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, np.newaxis]
 )
 
 
 def _check_format(format: str) -> None:
-    if format not in _LAYOUTS:
+    if not isinstance(format, str) or format not in _LAYOUTS:
         raise ValidationError(
             f"unknown export format {format!r}, use 'csv' or 'json'"
         )
@@ -578,11 +577,12 @@ def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
     in ``layout``, else None.
 
     Returns ``data`` as a uint8 array, and each value's start and length
-    as (rows, columns) arrays.  A numpy scan finds the delimiter bytes,
-    which start the separator and every row piece between two values,
-    takes each value's span from them, and checks every byte of the
-    layout's literals (head, row pieces, separator, tail) around the
-    spans.  The tail stands in for the last row's separator.
+    (which may be 0) as (rows, columns) arrays.  A numpy scan of the body
+    finds the delimiter bytes, which start the separator and every row
+    piece between two values, takes each value's span from them, and
+    checks every byte of the layout's literals (head, row pieces,
+    separator, tail) around the spans.  The tail stands in for the last
+    row's separator.
     """
     pieces = layout.row.split(b"%s")
     if (
@@ -592,21 +592,26 @@ def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
     ):
         return None
     buf = np.frombuffer(data, np.uint8)
-    marks = np.flatnonzero(buf == layout.separator[0])
+    head, tail = len(layout.head), len(data) - len(layout.tail)
+    marks = buf[:tail] == layout.separator[0]
+    for delimiter in {piece[0] for piece in pieces[1:-1]} - {layout.separator[0]}:
+        marks |= buf[:tail] == delimiter
+    marks = np.flatnonzero(marks)
+    marks = marks[np.searchsorted(marks, head) :]  # not the head's own delimiters
     per_row = len(pieces) - 1
     rows = (len(marks) + 1) // per_row
     if not rows or len(marks) != rows * per_row - 1:
         return None
-    marks = np.append(marks, len(data) - len(layout.tail)).reshape(rows, per_row)
+    marks = np.append(marks, tail).reshape(rows, per_row)
     # Value k ends where the literal after it starts.
     ends = marks - ([0] * (per_row - 1) + [len(pieces[-1])])
     starts = np.empty_like(ends)
-    starts[0, 0] = len(layout.head)
+    starts[0, 0] = head
     starts[1:, 0] = marks[:-1, -1] + len(layout.separator)
     starts[:, 1:] = marks[:, :-1]
     starts += [len(piece) for piece in pieces[:-1]]
     lengths = ends - starts
-    if lengths.min() < 1 or lengths.max() > _TEXT_WIDTH:
+    if lengths.min() < 0 or lengths.max() > _TEXT_WIDTH:
         return None
     # The literal after each value, compared as 64-bit words masked to
     # its length; the last row's is the tail, which endswith has checked.
@@ -631,18 +636,25 @@ def _fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     return fields
 
 
-def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
-    """The columns of a JSON export that is byte for byte what
-    :func:`export` writes, else None.
+#: Per format, the literals an export writes for numbers: text, value,
+#: and the first numeric column it may stand in (the ratios are 0 and 1,
+#: the efficiency 5).  JSON has null for a NaN energy or efficiency; CSV
+#: has ``%.17g``'s nan and infinities, and "" for an absent efficiency.
+_LITERALS = {
+    "csv": [(b"nan", math.nan, 0), (b"inf", math.inf, 0), (b"-inf", -math.inf, 0),
+            (b"", math.nan, 5)],
+    "json": [(b"null", math.nan, 2)],
+}
 
-    Numbers must be in the JSON grammar and are read by
-    :func:`_parse_17g`; ``null`` may stand only where the schema allows
-    it, and a mode must be one of the layout's tokens.  A number that
-    overflows to an infinity returns None, so that ``json.loads`` raises
-    its error.
-    """
-    layout = _LAYOUTS["json"]
-    scan = _scan(data, layout)
+
+def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
+    """The columns of ``data`` if it is byte for byte an export in
+    ``format``, else None: numbers in the JSON grammar that do not
+    overflow, read by :func:`_parse_17g`, or the format's
+    :data:`_LITERALS`, and the layout's mode tokens.  A CSV efficiency is
+    empty exactly off heat-engine rows; JSON drops it there, as
+    ``json.loads`` does."""
+    scan = _scan(data, _LAYOUTS[format])
     if scan is None:
         return None
     buf, starts, lengths = scan
@@ -650,11 +662,15 @@ def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
     mode = _EXPORT_COLUMNS.index("mode")
     numeric = [k for k in range(len(_EXPORT_COLUMNS)) if k != mode]
     numbers = _fields(buf, starts[:, numeric].T, lengths[:, numeric].T)
+    # A literal is found by its field's first 8 bytes, and parses as 0.
     first_words = numbers.view(np.uint64)[:, 0]
-    null = first_words == int.from_bytes(layout.nan, "little")
-    if null[: 2 * rows].any():  # coupling_ratio and temp_ratio
-        return None
-    first_words[null] = ord("0")
+    literals = []
+    for text, value, first in _LITERALS[format]:
+        found = first_words == int.from_bytes(text, "little")
+        if found[: first * rows].any():
+            return None
+        first_words[found] = ord("0")
+        literals.append((found, value))
     # JSON allows no leading zero before another digit.
     minus = numbers[:, 0] == ord("-")
     lead = np.where(minus, numbers[:, 1], numbers[:, 0]) == ord("0")
@@ -665,10 +681,11 @@ def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
         return None
     if not plain.all() or (lead & digit).any() or np.isinf(values).any():
         return None
-    values[null] = math.nan
+    for found, value in literals:
+        values[found] = value
 
     # A mode is looked up by its first 8 bytes, then compared whole.
-    tokens = _padded(layout.tokens).view(np.uint64)
+    tokens = _padded(_LAYOUTS[format].tokens).view(np.uint64)
     found = _fields(buf, starts[:, mode], lengths[:, mode]).view(np.uint64)
     order = np.argsort(tokens[:, 0])
     slots = np.searchsorted(tokens[order, 0], found[:, 0]).clip(max=len(order) - 1)
@@ -676,49 +693,40 @@ def _scanned_columns(data: bytes) -> tuple[np.ndarray, ...] | None:
     if not np.array_equal(found, tokens[codes]):
         return None
     ratio, temp_ratio, work, q_in, q_out, eta = values.reshape(len(numeric), rows)
-    eta[codes != _ENGINE] = math.nan
+    off_engine = codes != _ENGINE
+    if format == "csv" and not np.array_equal(lengths[:, -1] == 0, off_engine):
+        return None
+    eta[off_engine] = math.nan
     return ratio, temp_ratio, codes, work, q_in, q_out, eta
 
 
-def _column(convert, fields, dtype, rows, what: str) -> np.ndarray:
-    """``convert`` applied to each field; a failure names the field's row."""
-    try:
-        return np.fromiter(map(convert, fields), dtype, len(fields))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        for field, row in zip(fields, rows):
-            try:
-                convert(field)
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ValidationError(
-                    f"bad {what} {field!r} in export row {row!r}"
-                ) from None
-        raise
-
-
-def _csv_fields(text: str) -> tuple[list[str], list[list[str]]]:
-    """The data lines of a CSV export and its seven columns of fields."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != ",".join(_EXPORT_COLUMNS):
-        raise ValidationError("CSV header does not match the export contract")
-    lines = lines[1:]
-    if not lines:
-        raise ValidationError("CSV export has no rows")
-    for line in lines:
-        if line.count(",") != len(_EXPORT_COLUMNS) - 1:
-            raise ValidationError(f"malformed export row: {line!r}")
-    fields = ",".join(lines).split(",")
-    columns = [fields[k :: len(_EXPORT_COLUMNS)] for k in range(len(_EXPORT_COLUMNS))]
-    modes, eta = columns[2], columns[6]
-    # An empty efficiency field is absent (NaN), which the map's column
-    # check rejects on an engine row; any other row must leave it empty.
-    engine_token = OperationMode.HEAT_ENGINE.token
-    for line, mode, field in zip(lines, modes, eta):
-        if field and mode != engine_token:
-            raise ValidationError(
-                f"eta_over_carnot must be absent for mode {mode!r}: {line!r}"
-            )
-    columns[6] = [field or "nan" for field in eta]
-    return lines, columns
+def _csv_error(data: bytes) -> ValidationError:
+    """The error for CSV that :func:`_scanned_columns` refuses, naming the
+    first row it refuses; rows are scanned alone, so bisection finds it."""
+    decode(data, ValidationError, "export")
+    head = _LAYOUTS["csv"].head
+    if not data.startswith(head):
+        return ValidationError("CSV header does not match the export contract")
+    # Line k > 0 is row k, and data[ends[j] : ends[k]] holds rows j + 1 to k.
+    lines = data.split(b"\n")
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    good, bad = 0, len(lines) - 1 - data.endswith(b"\n")
+    if not bad:
+        return ValidationError("CSV export has no rows")
+    while bad - good > 1:  # the scan accepts the rows up to good, not to bad
+        mid = (good + bad) // 2
+        if _scanned_columns(head + data[ends[good] : ends[mid]], "csv") is None:
+            bad = mid
+        else:
+            good = mid
+    line = lines[bad]
+    where = f"export row at line {bad + 1}: {line.decode()!r}"
+    # A row that scans once its efficiency is emptied holds one off engine.
+    cut = _scanned_columns(head + line[: line.rfind(b",") + 1] + b"\n", "csv")
+    if cut is None:
+        return ValidationError(f"malformed {where}")
+    mode = f"mode {_MODES[cut[2][0]].token!r}"
+    return ValidationError(f"eta_over_carnot must be absent for {mode} in {where}")
 
 
 def _json_numbers(values, nullable: bool, rows, what: str) -> np.ndarray:
@@ -763,7 +771,12 @@ def _json_map(text: str) -> ModeMap:
     ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
     ratio = _json_numbers(ratio, False, rows, "coupling_ratio")
     temp_ratio = _json_numbers(temp_ratio, False, rows, "temp_ratio")
-    codes = _column(_CODE_OF_TOKEN.__getitem__, modes, np.int8, rows, "mode")
+    # Only a str is looked up: a list or dict would be unhashable.
+    codes = [_CODE_OF_TOKEN.get(mode) if type(mode) is str else None for mode in modes]
+    if None in codes:
+        k = codes.index(None)
+        raise ValidationError(f"bad mode {modes[k]!r} in export row {rows[k]!r}")
+    codes = np.array(codes, np.int8)
     work = _json_numbers(work, True, rows, "work")
     q_in = _json_numbers(q_in, True, rows, "q_in")
     q_out = _json_numbers(q_out, True, rows, "q_out")
@@ -777,39 +790,25 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
     """Parse bytes produced by :func:`export` back into a :class:`ModeMap`.
 
     Exists mainly so the serialization contract (bit-exact roundtrip)
-    is testable and so downstream tools can re-ingest exports.  Input
-    that breaks the contract (a wrong CSV header, no rows, a row without
-    seven fields, a non-numeric field, an unknown mode token, a missing
-    JSON key, a JSON value of a type the schema does not allow there,
-    truncated JSON, or an efficiency present off a heat-engine row or
-    missing on one) raises :class:`ValidationError` naming the row;
-    bytes that are not UTF-8 raise it naming the byte offset, and an
-    unknown format raises it before the bytes are read.  JSON values
-    must be numbers, except that the energies and the efficiency may be
-    null (NaN).  ``NaN`` and ``Infinity`` literals are not JSON numbers,
-    and a number that overflows a double raises as a JSON export of its
-    infinity would, naming the cell.  A JSON row outside heat-engine
-    mode may carry any efficiency number; it is dropped.
-
-    A JSON export laid out byte for byte as :func:`export` writes it is
-    read column-wise by a layout scan, with no per-row Python work; any
-    other JSON goes through ``json.loads``, so both routes accept the
-    same inputs, give the same bits and raise the same errors.
+    is testable and so downstream tools can re-ingest exports.  Both
+    formats are read column-wise by one layout scan: every byte must
+    stand where :func:`export` puts it, and a number must be a finite
+    JSON number of at most 24 bytes (read as the bits ``float()`` gives)
+    or a literal the export writes there: CSV ``nan``, ``inf`` or
+    ``-inf``, or an empty efficiency exactly off heat-engine rows; JSON
+    ``null`` in the energies and the efficiency.  CSV that the scan
+    refuses raises :class:`ValidationError` naming its first bad row and
+    line.  JSON that it refuses goes through ``json.loads``,
+    which accepts the same inputs, gives the same bits and raises the
+    same errors, naming the row, or the cell of a number that overflows;
+    a JSON row outside heat-engine mode may carry any efficiency, which
+    is dropped.  Bytes that are not UTF-8 raise naming the byte offset,
+    and an unknown format raises before the bytes are read.
     """
     _check_format(format)
+    columns = _scanned_columns(data, format)
+    if columns is not None:
+        return ModeMap(*columns)
     if format == "json":
-        columns = _scanned_columns(data)
-        if columns is not None:
-            return ModeMap(*columns)
         return _json_map(decode(data, ValidationError, "export"))
-    rows, columns = _csv_fields(decode(data, ValidationError, "export"))
-    ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
-    return ModeMap(
-        coupling_ratio=_column(float, ratio, float, rows, "coupling_ratio"),
-        temp_ratio=_column(float, temp_ratio, float, rows, "temp_ratio"),
-        mode_code=_column(_CODE_OF_TOKEN.__getitem__, modes, np.int8, rows, "mode"),
-        work=_column(float, work, float, rows, "work"),
-        q_in=_column(float, q_in, float, rows, "q_in"),
-        q_out=_column(float, q_out, float, rows, "q_out"),
-        eta_over_carnot=_column(float, eta, float, rows, "eta_over_carnot"),
-    )
+    raise _csv_error(data)

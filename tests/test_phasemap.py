@@ -608,10 +608,11 @@ class TestSerialization:
             export([], format="csv")
 
     def test_rejects_unknown_format(self, cells):
-        with pytest.raises(ValidationError):
-            export(cells, format="yaml")
-        with pytest.raises(ValidationError):
-            read_cells(b"", format="yaml")
+        for fmt in ("yaml", ["csv"]):
+            with pytest.raises(ValidationError, match="unknown export format"):
+                export(cells, format=fmt)
+            with pytest.raises(ValidationError, match="unknown export format"):
+                read_cells(b"", format=fmt)
 
     def test_export_to_path_writes_the_file(self, cells, tmp_path):
         target = tmp_path / "map.csv"
@@ -773,6 +774,7 @@ class TestExportBytes:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_format, "_BLOCK_ROWS", block_rows)
                 assert export(cells, format=fmt) == expected
+        assert_same_columns(read_cells(expected, format=fmt), cells)
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_json_exports_are_read_by_the_layout_scan(self, grid, monkeypatch):
@@ -935,6 +937,9 @@ class TestReadCellsErrors:
             ("eta_over_carnot", b'"0.5"'),
             ("coupling_ratio", b"null"),
             ("temp_ratio", b"null"),
+            ("mode", b"3"),
+            ("mode", b'["heater"]'),
+            ("mode", b"null"),
         ],
     )
     def test_json_values_must_have_the_schema_types(self, cells, key, literal):
@@ -1005,7 +1010,8 @@ def first(pattern, replacement):
 
 
 class TestReadPaths:
-    """Exports off the layout go to json.loads, and agree with it."""
+    """JSON exports off the layout go to json.loads, and agree with it;
+    CSV exports off the layout raise, naming the row."""
 
     MUTATIONS = {
         "swapped keys": first(
@@ -1060,3 +1066,75 @@ class TestReadPaths:
     )
     def test_any_work_field_reads_like_json_loads(self, data, text):
         assert_same_outcome(first(rb'"work": [^,]*', b'"work": ' + text)(data))
+
+    # Each CSV mutation changes one row of the export, or its final newline.
+    CSV_MUTATIONS = {
+        "CRLF": first(rb"(refrigerator,[^\n]*)\n", rb"\g<1>\r\n"),
+        "blank line": first(rb"\n(0\.5,1\.5,)", rb"\n\n\g<1>"),
+        "no final newline": lambda data: data[:-1],
+        "underscore and spaces": first(rb"(,heater,)[^,]*", rb"\g<1> 1_0 "),
+        "plus sign": first(rb"(,heater,)[^,]*", rb"\g<1>+1"),
+        "Infinity literal": first(rb"(,heater,)[^,]*", rb"\g<1>Infinity"),
+        "NaN literal": first(rb"(,heater,)[^,]*", rb"\g<1>NaN"),
+        "fraction without integer": first(rb"(,heater,)[^,]*", rb"\g<1>.5"),
+        "point without digits": first(rb"(,heater,)[^,]*", rb"\g<1>1."),
+        "leading zero": first(rb"(,heater,)[^,]*", rb"\g<1>01"),
+        "25-byte field": first(
+            rb"(,heater,)[^,]*", rb"\g<1>2.00000000000000000000000"
+        ),
+        "unknown mode token": first(rb",heater,", b",heatex,"),
+        "extra field": first(rb"(,heater,[^\n]*)\n", rb"\g<1>,1\n"),
+        "efficiency off an engine row": first(
+            rb"(,heater,[^\n]*)\n", rb"\g<1>0.5\n"
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def csv_data(self):
+        return export(sweep(edge_grid()), format="csv")
+
+    @pytest.mark.parametrize("mutation", sorted(CSV_MUTATIONS))
+    def test_mutated_csv_exports_name_the_row(self, csv_data, mutation):
+        mutated = self.CSV_MUTATIONS[mutation](csv_data)
+        assert mutated != csv_data
+        # The line that holds the first changed byte.
+        at = next(
+            (k for k, (a, b) in enumerate(zip(mutated, csv_data)) if a != b),
+            len(mutated),
+        )
+        line = mutated[:at].count(b"\n") + 1
+        text = mutated.split(b"\n")[line - 1].decode()
+        with pytest.raises(ValidationError) as err:
+            read_cells(mutated, format="csv")
+        assert f"export row at line {line}: {text!r}" in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.from_regex(
+                rb"-?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+            ),
+            st.text("0123456789.eE+-naif_ ", max_size=12).map(str.encode),
+            st.sampled_from([b"nan", b"inf", b"-inf", b"-nan", b"-0"]),
+        )
+    )
+    def test_any_csv_work_field_reads_like_float(self, csv_data, text):
+        """A field is read exactly when it is a JSON number of at most 24
+        bytes that float() holds finitely, or nan, inf or -inf; then it
+        has float()'s bits."""
+        cells = sweep(edge_grid())
+        heater = list(OperationMode).index(OperationMode.HEATER)
+        row = int(np.argmax(cells.mode_code == heater))
+        mutated = first(rb"(,heater,)[^,]*", rb"\g<1>" + text)(csv_data)
+        number = re.fullmatch(rb"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", text)
+        accepted = text in (b"nan", b"inf", b"-inf") or bool(
+            number and len(text) <= 24 and math.isfinite(float(text))
+        )
+        ours = outcome(lambda: read_cells(mutated, format="csv"))
+        if not accepted:
+            assert f"export row at line {row + 2}: " in ours
+            return
+        columns = {name: getattr(cells, name) for name in COLUMNS}
+        columns["work"] = np.array(cells.work)
+        columns["work"][row] = float(text)
+        assert_same_columns(ours, ModeMap(**columns))

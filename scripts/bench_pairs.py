@@ -1,0 +1,160 @@
+"""Compare two revisions with the benchmark, in alternating pairs of runs.
+
+    python scripts/bench_pairs.py --parent REV --change REV --tag TAG \\
+        --seed N [--pairs 10] [--workload NAME ...]
+
+Each revision is extracted with ``git archive`` into its own temporary
+checkout, and ``perfbench/run.py`` of that checkout runs there, unchanged,
+once per pair and workload, for the ``run_seconds`` that
+``BENCHMARK.json`` fixes.  Pair k uses seed N + k on both sides, so
+pass seeds that were not used while the change was written.  The side
+that runs first is drawn at random for the first pair (from the seed, so
+a run can be repeated) and alternates after that.  An uncommitted tree
+can be compared by passing the commit that ``git stash create`` prints;
+the record names each side's ``src`` and ``perfbench`` tree ids, which
+match those of any later commit with the same code.
+
+The record goes to ``BENCH_<TAG>.json`` at the repository root: for
+each workload the end-to-end metrics of every pair, and per metric each
+side's median and quartiles, the change's median relative to the
+parent's, the pairs the change won (ties count for neither side) and
+whether the gain clears the claim rule: at least ten pairs, nine in
+ten of them won, and the medians further apart than the parent's
+quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+#: The fewest pairs on which the claim rule can hold.
+CLAIM_PAIRS = 10
+
+
+def checkout(rev: str, target: Path) -> Path:
+    """The tree of ``rev``, extracted into the new directory ``target``."""
+    target.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
+
+
+def trees(rev: str) -> dict:
+    """The ids of the trees of ``rev`` that decide what a run measures."""
+    return {
+        path: subprocess.run(
+            ["git", "-C", str(ROOT), "rev-parse", f"{rev}:{path}"],
+            check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout.strip()
+        for path in ("src", "perfbench")
+    }
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its closing JSON line, which names the metrics."""
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} failed:\n{done.stderr}")
+    result = json.loads(done.stdout.splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        **{name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: both sides' spread, the relative median change, the wins."""
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        sides = {side: summary([p[side][name] for p in pairs]) for side in SIDES}
+        parent, change = sides["parent"], sides["change"]
+        gains = [sign * (p["change"][name] - p["parent"][name]) for p in pairs]
+        wins = sum(g > 0 for g in gains)
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            **sides,
+            "median_change": change["median"] / parent["median"] - 1,
+            "wins": wins,
+            "losses": sum(g < 0 for g in gains),
+            "gain_claimable": (
+                len(pairs) >= CLAIM_PAIRS
+                and wins >= 0.9 * len(pairs)
+                and sign * (change["median"] - parent["median"])
+                > parent["q3"] - parent["q1"]
+            ),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in contract["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", choices=workloads)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+
+    revs = {side: getattr(args, side) for side in SIDES}
+    seconds = contract["run_seconds"]
+    first = random.Random(args.seed).randrange(2)
+    record = {
+        "command": contract["command"],
+        "revisions": revs,
+        "trees": {side: trees(rev) for side, rev in revs.items()},
+        "seconds": seconds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        dirs = {side: checkout(rev, Path(scratch, side)) for side, rev in revs.items()}
+        for workload in args.workload or workloads:
+            pairs = []
+            for k in range(args.pairs):
+                seed = args.seed + k
+                order = SIDES if (first + k) % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(dirs[side], workload, seed, seconds)
+                    print(workload, seed, side, json.dumps(pair[side]), flush=True)
+                pairs.append(pair)
+            record["workloads"][workload] = {
+                "metrics": compare(pairs, contract["end_to_end"]),
+                "pairs": pairs,
+            }
+    path = ROOT / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

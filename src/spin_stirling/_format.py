@@ -10,7 +10,10 @@ through Python would cost most of a mode-map export, so
 a NUL-padded byte matrix, and hands Python only the values it cannot
 certify.  :func:`_table` writes every exported table, the mode maps and
 the engine curve, from such matrices: a block of rows at a time, as one
-byte matrix with the layout's literals in fixed columns.  The inverse of
+byte matrix with the layout's literals in fixed columns.  A table of
+several blocks builds them two at a time, the second of each pair on a
+helper thread, and writes them in order, so the bytes are the same as
+one thread's.  The inverse of
 ``%.17g``, :func:`_parse_17g`, reads a matrix of decimal fields back into
 the doubles that ``float()`` gives, with the same power-of-ten table,
 and likewise hands ``float()`` only the fields it cannot certify.
@@ -19,6 +22,8 @@ and likewise hands ``float()`` only the fields it cannot certify.
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -295,8 +300,45 @@ def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
 
 
 #: Rows per block of :func:`_table`, and of the cells a mode map builds
-#: at once; bounds the memory either holds.
-_BLOCK_ROWS = 2048
+#: at once.  A table holds two blocks at once, one per thread, so its
+#: memory is bounded by two blocks' matrices and temporaries.  With
+#: smaller blocks the Python-level numpy calls of each block hold the
+#: interpreter lock for too much of the time for the two to overlap.
+#: 8192 rows make map-400 faster still, but a 200x200 JSON export and
+#: read-back slower, with its peak RSS 10.6% up against 6% at 4096, so
+#: 4096 is the largest size that keeps both peak RSS rises within 10%.
+_BLOCK_ROWS = 4096
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _both(first: Callable, second: Callable) -> tuple:
+    """``first()`` on this thread while a helper thread runs ``second()``.
+
+    Returns both results.  The helper is joined before this returns or
+    raises, and an exception it raised is raised here.
+    """
+    outcome = {}
+
+    def helper() -> None:
+        try:
+            outcome["result"] = second()
+        except BaseException as exc:  # handed to the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        result = first()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return result, outcome["result"]
 
 
 class _Layout(NamedTuple):
@@ -321,6 +363,12 @@ def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
     _TEXT_WIDTH-byte slot for each field.  The last row's separator is
     zeroed, so the tail follows it, and dropping the NUL bytes turns the
     matrix into the block's text in one step.
+
+    With more than one block and more than one CPU, blocks are built in
+    pairs: a helper thread builds the second block of each pair while
+    this thread builds the first (numpy releases the interpreter lock
+    for most of the work), so ``fields`` runs on two threads at once.
+    No helper is left running between the blocks this yields.
     """
     *pieces, last = layout.row.split(b"%s")
     template = bytearray()
@@ -329,18 +377,31 @@ def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
         template += piece
         slots.append(slice(len(template), len(template) + _TEXT_WIDTH))
         template += bytes(_TEXT_WIDTH)
+    end = len(template) + len(last)
     template += last + layout.separator
-    matrix = np.tile(np.frombuffer(template, np.uint8), (min(_BLOCK_ROWS, rows), 1))
-    yield layout.head
-    for start in range(0, rows, _BLOCK_ROWS):
+    paired = rows > _BLOCK_ROWS and _cpus() > 1
+    template = np.frombuffer(template, np.uint8)
+    matrices = [np.tile(template, (min(_BLOCK_ROWS, rows), 1)) for _ in range(1 + paired)]
+
+    def block(matrix: np.ndarray, start: int) -> bytes:
         stop = min(start + _BLOCK_ROWS, rows)
-        block = matrix[: stop - start]
+        matrix = matrix[: stop - start]
         for slot, text in zip(slots, fields(start, stop), strict=True):
-            block[:, slot] = text
+            matrix[:, slot] = text
         if stop == rows:
-            block[-1, len(template) - len(layout.separator) :] = 0
-        text = block.ravel()
-        yield text[text != 0].tobytes()
+            matrix[-1, end:] = 0
+        text = matrix.ravel()
+        return text[text != 0].tobytes()
+
+    yield layout.head
+    for start in range(0, rows, (1 + paired) * _BLOCK_ROWS):
+        second = start + _BLOCK_ROWS
+        if paired and second < rows:
+            yield from _both(
+                lambda: block(matrices[0], start), lambda: block(matrices[1], second)
+            )
+        else:
+            yield block(matrices[0], start)
     yield layout.tail
 
 

@@ -2,13 +2,16 @@
 
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_stirling._format import _parse_17g, _text_17g
+from spin_stirling import _format
+from spin_stirling._format import _Layout, _padded, _parse_17g, _table, _text_17g
 
 
 def reference_17g(values):
@@ -212,3 +215,52 @@ class TestParse17g:
         values, plain = _parse_17g(fields(texts))
         assert np.array_equal(values.view(np.int64), float_bits(texts))
         assert plain.tolist() == [PLAIN.fullmatch(text) is not None for text in texts]
+
+
+class TestTable:
+    """The block pairs of :func:`_table`, on a one-field layout."""
+
+    LINES = _Layout(
+        head=b"[", row=b"%s", separator=b"\n", tail=b"]", nan=b"", absent=b"",
+        tokens=[],
+    )
+
+    @pytest.fixture(autouse=True)
+    def four_rows_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(_format, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+
+    @staticmethod
+    def numbered(start, stop):
+        return [_padded([b"%d" % k for k in range(start, stop)])]
+
+    @pytest.mark.parametrize("rows", [1, 4, 5, 8, 9, 13])
+    def test_pairs_write_the_rows_in_order(self, rows):
+        text = b"".join(_table(self.LINES, rows, self.numbered))
+        assert text == b"[" + b"\n".join(b"%d" % k for k in range(rows)) + b"]"
+
+    def test_an_error_in_the_callers_block_waits_for_the_helper(self):
+        class BlockError(Exception):
+            pass
+
+        built = []
+
+        def fields(start, stop):
+            if start == 0:
+                raise BlockError("first block")
+            time.sleep(0.05)
+            built.append(start)
+            return self.numbered(start, stop)
+
+        baseline = threading.active_count()
+        with pytest.raises(BlockError, match="^first block$"):
+            b"".join(_table(self.LINES, 8, fields))
+        assert built == [4]
+        assert threading.active_count() == baseline
+
+    def test_no_helper_outlives_a_yielded_block(self):
+        baseline = threading.active_count()
+        chunks = _table(self.LINES, 16, self.numbered)
+        assert [next(chunks) for _ in range(3)] == [b"[", b"0\n1\n2\n3\n", b"4\n5\n6\n7\n"]
+        assert threading.active_count() == baseline
+        chunks.close()

@@ -552,11 +552,21 @@ class TestEngineCurve:
         expected = reference_curve_csv(points)
         assert engine_curve_csv(points) == expected
         for block_rows in (1, 7, _format._BLOCK_ROWS):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
-                assert mag._curve_csv(t_hot, cycles, eta_carnot) == expected
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_format, "_BLOCK_ROWS", block_rows)
+                    patch.setattr(_format, "_cpus", lambda: cpus)
+                    assert mag._curve_csv(t_hot, cycles, eta_carnot) == expected
         per_point = np.array([1.0 - t_cold / t for t in axis])
         assert np.array_equal(eta_carnot.view(np.int64), per_point.view(np.int64))
+
+    def test_block_pairs_write_the_serial_bytes(self, monkeypatch):
+        axis = np.linspace(21.0, 400.0, 3 * _format._BLOCK_ROWS + 5).tolist()
+        columns = mag._evaluate_curve(Coupling(-42.0), Coupling(-32.0), 20.0, axis)
+        monkeypatch.setattr(_format, "_cpus", lambda: 1)
+        serial = mag._curve_csv(*columns)
+        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+        assert mag._curve_csv(*columns) == serial
 
     def test_csv_rejects_empty_curves(self):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import threading
 import tracemalloc
 
 import jsonschema
@@ -759,10 +760,12 @@ class TestExportBytes:
         assert len(cells) % 7 != 0
         expected = export(cells, format=fmt)
         monkeypatch.setattr(_format, "_BLOCK_ROWS", block_rows)
-        assert export(cells, format=fmt) == expected
-        target = tmp_path / f"map.{fmt}"
-        export_to_path(cells, str(target), format=fmt)
-        assert target.read_bytes() == expected
+        for cpus in (1, 2):
+            monkeypatch.setattr(_format, "_cpus", lambda: cpus)
+            assert export(cells, format=fmt) == expected
+            target = tmp_path / f"map.{fmt}"
+            export_to_path(cells, str(target), format=fmt)
+            assert target.read_bytes() == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=100, deadline=None)
@@ -771,10 +774,61 @@ class TestExportBytes:
         cells = data.draw(mode_maps(json_only=fmt == "json"))
         expected = REFERENCE_EXPORTS[fmt](cells)
         for block_rows in (1, 7, _format._BLOCK_ROWS):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
-                assert export(cells, format=fmt) == expected
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_format, "_BLOCK_ROWS", block_rows)
+                    patch.setattr(_format, "_cpus", lambda: cpus)
+                    assert export(cells, format=fmt) == expected
         assert_same_columns(read_cells(expected, format=fmt), cells)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_pairs_write_the_serial_bytes(self, fmt, monkeypatch):
+        # Two pairs of blocks and a lone last block of five rows.
+        cells = sweep(SweepGrid.default(resolution=200))[: 4 * _format._BLOCK_ROWS + 5]
+        pairs = []
+        both = _format._both
+
+        def counted(first, second):
+            pairs.append(first)
+            return both(first, second)
+
+        monkeypatch.setattr(_format, "_both", counted)
+        monkeypatch.setattr(_format, "_cpus", lambda: 1)
+        serial = export(cells, format=fmt)
+        assert pairs == []
+        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+        assert export(cells, format=fmt) == serial
+        assert len(pairs) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_error_in_a_helper_block_reaches_the_caller(
+        self, fmt, monkeypatch, tmp_path
+    ):
+        class BlockError(Exception):
+            pass
+
+        cells = sweep(edge_grid())
+        caller = threading.get_ident()
+        texts = phasemap._texts
+
+        def texts_failing_off_the_caller(values, nan):
+            if threading.get_ident() != caller:
+                raise BlockError("no text on the helper thread")
+            return texts(values, nan)
+
+        monkeypatch.setattr(_format, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+        monkeypatch.setattr(phasemap, "_texts", texts_failing_off_the_caller)
+        baseline = threading.active_count()
+        for write in (
+            lambda: export(cells, format=fmt),
+            lambda: export_to_path(cells, str(tmp_path / "map"), format=fmt),
+        ):
+            with pytest.raises(BlockError) as raised:
+                write()
+            assert type(raised.value) is BlockError
+            assert str(raised.value) == "no text on the helper thread"
+            assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_json_exports_are_read_by_the_layout_scan(self, grid, monkeypatch):
@@ -787,7 +841,14 @@ class TestExportBytes:
         monkeypatch.setattr(phasemap, "_json_map", no_fallback)
         assert_same_columns(read_cells(data, format="json"), cells)
 
-    def test_export_to_path_memory_does_not_grow_with_the_grid(self, tmp_path):
+    def test_export_to_path_memory_does_not_grow_with_the_grid(
+        self, monkeypatch, tmp_path
+    ):
+        # 512-row blocks built in pairs: 2,500 cells make two pairs and a
+        # lone block, 14,400 cells make 14 pairs and a lone block.
+        monkeypatch.setattr(_format, "_BLOCK_ROWS", 512)
+        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+
         def peak_bytes(resolution):
             cells = sweep(SweepGrid.default(resolution=resolution))
             tracemalloc.start()
@@ -797,7 +858,6 @@ class TestExportBytes:
             finally:
                 tracemalloc.stop()
 
-        # 2,500 cells already fill more than one block; 14,400 fill seven.
         assert peak_bytes(120) < 2 * peak_bytes(50)
 
 

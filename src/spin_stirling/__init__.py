@@ -23,133 +23,24 @@ Energies are carried internally as J/k_B in kelvin; eV appears only in
 reporting layers.
 """
 
-from .constants import (
-    CURIE_CONSTANT_EMU_K_PER_MOL,
-    DEFAULT_COUPLING_CAP_K,
-    KB_EV_PER_K,
-    ORACLE_EXPONENT_CAP,
-)
-from .core import (
-    Coupling,
-    GibbsOracleResult,
-    PopulationVector,
-    ThermalPoint,
-    dimensionless_susceptibility,
-    entropy,
-    gibbs_oracle,
-    internal_energy,
-    molar_susceptibility,
-    populations,
-)
-from .cycle import (
-    CycleSpec,
-    OperationMode,
-    StrokeLedger,
-    assemble_ledger,
-    carnot_efficiency,
-    classify_mode,
-    efficiency,
-    heat_isochoric_cooling,
-    heat_isochoric_heating,
-    heat_isothermal_compression,
-    heat_isothermal_expansion,
-    total_work,
-)
-from .errors import (
-    CurieRegimeWarning,
-    DataFormatError,
-    InvariantViolation,
-    ModeError,
-    OverflowCapError,
-    SpinStirlingError,
-    ValidationError,
-)
-from .magnetometry import (
-    BridgingAngle,
-    EngineCurvePoint,
-    FitResult,
-    FixG,
-    FreeG,
-    SusceptibilityDataset,
-    bleaney_bowers_chi,
-    bleaney_bowers_jacobian,
-    coupling_from_angle,
-    engine_curve,
-    engine_curve_csv,
-    fit_bleaney_bowers,
-    fit_report_json,
-    ingest_csv,
-)
-from .phasemap import (
-    Branch,
-    GridAnchor,
-    ModeCell,
-    SweepGrid,
-    export,
-    export_to_path,
-    read_cells,
-    sweep,
-    trace_zero_work_boundary,
-)
+# Each submodule's ``__all__`` is its public interface, republished here,
+# so a public name is declared once: in the module that defines it.
+from . import constants, core, cycle, errors, magnetometry, phasemap
+from .constants import *
+from .core import *
+from .cycle import *
+from .errors import *
+from .magnetometry import *
+from .phasemap import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "KB_EV_PER_K",
-    "CURIE_CONSTANT_EMU_K_PER_MOL",
-    "ORACLE_EXPONENT_CAP",
-    "DEFAULT_COUPLING_CAP_K",
-    "Coupling",
-    "ThermalPoint",
-    "PopulationVector",
-    "GibbsOracleResult",
-    "dimensionless_susceptibility",
-    "molar_susceptibility",
-    "populations",
-    "entropy",
-    "internal_energy",
-    "gibbs_oracle",
-    "CycleSpec",
-    "StrokeLedger",
-    "OperationMode",
-    "heat_isothermal_expansion",
-    "heat_isochoric_cooling",
-    "heat_isothermal_compression",
-    "heat_isochoric_heating",
-    "total_work",
-    "assemble_ledger",
-    "classify_mode",
-    "efficiency",
-    "carnot_efficiency",
-    "Branch",
-    "GridAnchor",
-    "SweepGrid",
-    "ModeCell",
-    "sweep",
-    "trace_zero_work_boundary",
-    "export",
-    "export_to_path",
-    "read_cells",
-    "SusceptibilityDataset",
-    "FitResult",
-    "FixG",
-    "FreeG",
-    "BridgingAngle",
-    "EngineCurvePoint",
-    "bleaney_bowers_chi",
-    "bleaney_bowers_jacobian",
-    "ingest_csv",
-    "fit_bleaney_bowers",
-    "fit_report_json",
-    "coupling_from_angle",
-    "engine_curve",
-    "engine_curve_csv",
-    "SpinStirlingError",
-    "ValidationError",
-    "OverflowCapError",
-    "ModeError",
-    "DataFormatError",
-    "InvariantViolation",
-    "CurieRegimeWarning",
+    *constants.__all__,
+    *core.__all__,
+    *cycle.__all__,
+    *phasemap.__all__,
+    *magnetometry.__all__,
+    *errors.__all__,
 ]

@@ -37,6 +37,7 @@ from .cycle import (
     _ENGINE,
     CycleSpec,
     OperationMode,
+    StrokeLedger,
     _evaluate_cycles,
     carnot_efficiency,
 )
@@ -55,7 +56,14 @@ from .magnetometry import (
     fit_report_json,
     ingest_csv,
 )
-from .phasemap import Branch, GridAnchor, SweepGrid, export_to_path, sweep
+from .phasemap import (
+    Branch,
+    GridAnchor,
+    SweepGrid,
+    _check_format,
+    export_to_path,
+    sweep,
+)
 
 __all__ = ["main", "console_entry", "schema_text"]
 
@@ -234,7 +242,7 @@ def _cmd_cycle(resolved: dict[str, Any]) -> int:
     )
     eta_carnot = carnot_efficiency(spec.t_hot, spec.t_cold)
 
-    ledger_fields = ("q_ab", "q_bc", "q_cd", "q_da", "work", "q_in", "q_out")
+    ledger_fields = [field.name for field in dataclasses.fields(StrokeLedger)]
     config_echo = {k: resolved[k] for k in ("ja_k", "jb_k", "th", "tc")}
 
     if resolved["json"]:
@@ -267,10 +275,7 @@ def _cmd_sweep(resolved: dict[str, Any]) -> int:
     branch = Branch.from_token(resolved["branch"])
     if resolved["jb_k"] is None:
         resolved["jb_k"] = -32.0 if branch is Branch.B_NEGATIVE else 32.0
-    if resolved["format"] not in ("csv", "json"):
-        raise ValidationError(
-            f"--format must be 'csv' or 'json', got {resolved['format']!r}"
-        )
+    _check_format(resolved["format"])
     grid = SweepGrid(
         coupling_ratio_axis=tuple(
             _axis(resolved, "ratio_min", "ratio_max", "ratio_steps")

@@ -11,6 +11,13 @@ from __future__ import annotations
 
 from typing import Final
 
+__all__ = [
+    "KB_EV_PER_K",
+    "CURIE_CONSTANT_EMU_K_PER_MOL",
+    "ORACLE_EXPONENT_CAP",
+    "DEFAULT_COUPLING_CAP_K",
+]
+
 #: Boltzmann constant in eV per kelvin (CODATA 2018 exact value).
 #: Used only when converting ledger energies from kelvin*k_B to eV for
 #: reporting; the internal unit system never multiplies by it.

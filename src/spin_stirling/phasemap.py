@@ -70,17 +70,6 @@ __all__ = [
     "read_cells",
 ]
 
-_EXPORT_COLUMNS = (
-    "coupling_ratio",
-    "temp_ratio",
-    "mode",
-    "work",
-    "q_in",
-    "q_out",
-    "eta_over_carnot",
-)
-
-
 class Branch(enum.Enum):
     """Sign branch of the anchor coupling ``j_b``.
 
@@ -212,6 +201,10 @@ class ModeCell:
             raise ValidationError(
                 f"eta_over_carnot must be absent for mode {self.mode.token!r}"
             )
+
+
+#: The columns of an export, in order: the fields of :class:`ModeCell`.
+_EXPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(ModeCell))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

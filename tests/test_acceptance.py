@@ -87,12 +87,43 @@ def _operand_scale(j_a, j_b, t_h, t_c):
     return 2.0 * np.log(4.0) * (t_h + t_c) + 1.5 * (np.abs(j_a) + np.abs(j_b))
 
 
+#: A fixed symmetric 4x4 matrix for the calibration loop of criterion 1.
+CALIBRATION_MATRIX = np.array(
+    [
+        [1.0, 0.5, 0.0, 0.0],
+        [0.5, 2.0, 0.5, 0.0],
+        [0.0, 0.5, 3.0, 0.5],
+        [0.0, 0.0, 0.5, 4.0],
+    ]
+)
+
+#: Criterion 1's bound on the oracle loop's time over the calibration
+#: loop's.  In 20 full-suite runs on a loaded 2-vCPU VM the ratio read
+#: 2.97-3.33, and 4.91-5.46 when ``gibbs_oracle`` did its work twice.
+ORACLE_CALIBRATION_RATIO = 4.0
+
+
+def _calibration_seconds(temperatures):
+    """Seconds for work of the oracle's kind that uses no package code: a
+    4x4 ``eigh`` and a Boltzmann sum per temperature.  Criterion 1 gates
+    on the ratio of its own time to this loop's, interleaved with it, so
+    the machine's speed and load cancel out."""
+    start = time.perf_counter()
+    for t in temperatures:
+        energies, _ = np.linalg.eigh(CALIBRATION_MATRIX)
+        weights = np.exp(-(energies - energies.min()) / t)
+        weights /= weights.sum()
+        float(-(weights * np.log(weights)).sum())
+    return time.perf_counter() - start
+
+
 def test_criterion_01_oracle_equivalence():
     js = np.linspace(-200.0, 200.0, 100)
     ts = np.linspace(5.0, 400.0, 100)
-    start = time.perf_counter()
     worst = 0.0
+    elapsed = calibration = 0.0
     for j in js:
+        start = time.perf_counter()
         coupling = Coupling(float(j))
         for t in ts:
             pt = ThermalPoint(coupling, float(t))
@@ -104,15 +135,18 @@ def test_criterion_01_oracle_equivalence():
                 abs(res.entropy - entropy(pt)),
                 abs(res.internal_energy - internal_energy(pt)),
             )
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
+        elapsed += time.perf_counter() - start
+        calibration += _calibration_seconds(ts.tolist())
+    ratio = elapsed / calibration
+    ok = worst <= 1e-12 and ratio < ORACLE_CALIBRATION_RATIO
     _gate(
         1,
         "closed forms match the diagonalization oracle",
         ok,
-        f"worst abs dev {worst:.3e} on 100x100 grid, {elapsed:.2f} s",
+        f"worst abs dev {worst:.3e} on 100x100 grid, {elapsed:.2f} s, "
+        f"{ratio:.2f}x the calibration loop",
     )
-    assert ok, f"worst deviation {worst:.3e}, elapsed {elapsed:.2f} s"
+    assert ok, f"worst deviation {worst:.3e}, {ratio:.2f}x the calibration loop"
 
 
 def test_criterion_02_first_law_closure():

@@ -211,6 +211,21 @@ class TestSweepCommand:
         assert "must give a finite axis" in captured.err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_unknown_format_fails_before_any_cell_is_computed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sweep(grid):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        out = tmp_path / "map.yaml"
+        args = ["sweep", "--format", "yaml", "--out", str(out)]
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown export format 'yaml'" in captured.err
+        assert not out.exists()
+
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "map.csv"
         args = ["sweep", "--out", str(target), "--ratio-steps", "4", "--tr-steps", "3"]

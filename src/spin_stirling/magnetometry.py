@@ -283,7 +283,7 @@ def ingest_csv(stream) -> SusceptibilityDataset:
         a text stream (message carries the byte offset), a
         malformed row (message carries the 1-based line number),
         duplicate temperatures, a missing required column, a non-finite
-        pressure, or fewer than 5 valid points.  The CLI maps it to exit
+        pressure, or fewer than 5 points.  The CLI maps it to exit
         code 4; a ``--config`` file that is not UTF-8 exits with 2.
     """
     lines = _as_text_lines(stream)
@@ -342,10 +342,6 @@ def ingest_csv(stream) -> SusceptibilityDataset:
 
     if header is None:
         raise DataFormatError("no header row found; file is empty or all comments")
-    if len(rows) < 5:
-        raise DataFormatError(
-            f"dataset too small: {len(rows)} valid points, need at least 5"
-        )
 
     rows.sort(key=lambda item: item[0])
     for (t1, _, n1), (t2, _, n2) in zip(rows, rows[1:]):

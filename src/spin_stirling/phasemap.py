@@ -31,11 +31,11 @@ table writer (:func:`spin_stirling._format._table`), with each value's
 text from a vectorized ``%.17g`` that writes the same bytes as
 Python's.  A JSON export refuses the values JSON cannot hold, and a JSON
 read refuses them too.  :func:`read_cells` reads either format back as
-columns: a numpy scan checks every byte against the same layout table
-the export is written from, and the numbers go through the vectorized
-inverse of that ``%.17g``, which gives the bits ``float()`` gives.  CSV
-that is not export text raises, naming its first bad row; JSON in any
-other layout goes through ``json.loads``, with the same results and errors.
+columns through ``_format``'s inverse of that writer; this module adds
+the mode-map rules: the literals each column may hold, the mode tokens,
+and a CSV efficiency empty exactly off heat-engine rows.  CSV that is
+not export text raises, naming its first bad row; JSON in any other
+layout goes through ``json.loads``, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ import numpy as np
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
-from ._format import _BLOCK_ROWS, _TEXT_WIDTH, _Layout, _padded, _parse_17g
-from ._format import _table, _texts, _windows, decode, write
+from ._format import _BLOCK_ROWS, _Layout, _fields, _padded, _parse_17g, _scan
+from ._format import _table, _texts, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -430,12 +430,6 @@ _LAYOUTS = {
 #: Mode code by serialization token.
 _CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
 
-#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field; the layout
-#: scan refuses values longer than the longest ``%.17g`` text.
-_FIELD_MASKS = np.uint8(0xFF) * (
-    np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, np.newaxis]
-)
-
 
 def _check_format(format: str) -> None:
     if not isinstance(format, str) or format not in _LAYOUTS:
@@ -552,83 +546,6 @@ def export_to_path(
     write(path, _text_blocks(_as_map(cells, format), format), f"{format} export")
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` at each start, one row per start;
-    bytes past the end of ``buf`` read as NUL."""
-    last = len(buf) - width
-    rows = _windows(buf, width)[np.minimum(starts, last)]
-    rows = rows.view(np.uint8).reshape(len(starts), width)
-    # Rows that run past the end come from a padded copy of the end.
-    over = np.flatnonzero(starts > last)
-    if len(over):
-        rows[over] = _gather(np.pad(buf[last:], (0, width)), starts[over] - last, width)
-    return rows
-
-
-def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
-    """Where the values of ``data`` lie if it is byte for byte an export
-    in ``layout``, else None.
-
-    Returns ``data`` as a uint8 array, and each value's start and length
-    (which may be 0) as (rows, columns) arrays.  A numpy scan of the body
-    finds the delimiter bytes, which start the separator and every row
-    piece between two values, takes each value's span from them, and
-    checks every byte of the layout's literals (head, row pieces,
-    separator, tail) around the spans.  The tail stands in for the last
-    row's separator.
-    """
-    pieces = layout.row.split(b"%s")
-    if (
-        b"\0" in data
-        or not data.startswith(layout.head + pieces[0])
-        or not data.endswith(pieces[-1] + layout.tail)
-    ):
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    head, tail = len(layout.head), len(data) - len(layout.tail)
-    marks = buf[:tail] == layout.separator[0]
-    for delimiter in {piece[0] for piece in pieces[1:-1]} - {layout.separator[0]}:
-        marks |= buf[:tail] == delimiter
-    marks = np.flatnonzero(marks)
-    marks = marks[np.searchsorted(marks, head) :]  # not the head's own delimiters
-    per_row = len(pieces) - 1
-    rows = (len(marks) + 1) // per_row
-    if not rows or len(marks) != rows * per_row - 1:
-        return None
-    marks = np.append(marks, tail).reshape(rows, per_row)
-    # Value k ends where the literal after it starts.
-    ends = marks - ([0] * (per_row - 1) + [len(pieces[-1])])
-    starts = np.empty_like(ends)
-    starts[0, 0] = head
-    starts[1:, 0] = marks[:-1, -1] + len(layout.separator)
-    starts[:, 1:] = marks[:, :-1]
-    starts += [len(piece) for piece in pieces[:-1]]
-    lengths = ends - starts
-    if lengths.min() < 0 or lengths.max() > _TEXT_WIDTH:
-        return None
-    # The literal after each value, compared as 64-bit words masked to
-    # its length; the last row's is the tail, which endswith has checked.
-    after = [*pieces[1:-1], pieces[-1] + layout.separator + pieces[0]]
-    width = 8 * -(-max(map(len, after)) // 8)
-    template = np.array(after, f"S{width}").view(np.uint64).reshape(per_row, -1)
-    mask = np.array([b"\xff" * len(literal) for literal in after], f"S{width}")
-    found = _gather(buf, ends.ravel(), width).view(np.uint64)
-    found = found.reshape(rows, per_row, width // 8)
-    found[-1, -1] = template[-1]
-    np.bitwise_xor(found, template, out=found)
-    found &= mask.view(np.uint64).reshape(per_row, -1)
-    if found.any():
-        return None
-    return buf, starts, lengths
-
-
-def _fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The values at ``starts``, one NUL-padded _TEXT_WIDTH-byte row each."""
-    fields = _gather(buf, starts.ravel(), _TEXT_WIDTH)
-    fields &= _FIELD_MASKS.take(lengths.ravel(), axis=0)
-    return fields
-
-
 #: Per format, the literals an export writes for numbers: text, value,
 #: and the first numeric column it may stand in (the ratios are 0 and 1,
 #: the efficiency 5).  JSON has null for a NaN energy or efficiency; CSV
@@ -642,8 +559,8 @@ _LITERALS = {
 
 def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
     """The columns of ``data`` if it is byte for byte an export in
-    ``format``, else None: numbers in the JSON grammar that do not
-    overflow, read by :func:`_parse_17g`, or the format's
+    ``format``, else None: fields where :func:`_scan` finds them, each an
+    export number (read by :func:`_parse_17g`) or one of the format's
     :data:`_LITERALS`, and the layout's mode tokens.  A CSV efficiency is
     empty exactly off heat-engine rows; JSON drops it there, as
     ``json.loads`` does."""
@@ -664,15 +581,8 @@ def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
             return None
         first_words[found] = ord("0")
         literals.append((found, value))
-    # JSON allows no leading zero before another digit.
-    minus = numbers[:, 0] == ord("-")
-    lead = np.where(minus, numbers[:, 1], numbers[:, 0]) == ord("0")
-    digit = np.where(minus, numbers[:, 2], numbers[:, 1]) - np.uint8(ord("0")) < 10
-    try:
-        values, plain = _parse_17g(numbers)
-    except ValueError:
-        return None
-    if not plain.all() or (lead & digit).any() or np.isinf(values).any():
+    values = _parse_17g(numbers)
+    if values is None:
         return None
     for found, value in literals:
         values[found] = value

@@ -1,0 +1,70 @@
+"""The claim rule of ``scripts/bench_pairs.py``, on synthetic pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+HIGHER = {"name": "ops_per_s", "unit": "op/s", "better": "higher"}
+LOWER = {"name": "ops_per_s", "unit": "op/s", "better": "lower"}
+# Parent runs 100.0 to 100.9: quartiles 0.45 apart.
+PARENT = [100.0 + 0.1 * k for k in range(10)]
+
+
+def pairs(changes, parents=PARENT):
+    return [
+        {"parent": {"ops_per_s": p}, "change": {"ops_per_s": c}}
+        for p, c in zip(parents, changes)
+    ]
+
+
+def verdict(changes, metric=HIGHER, parents=PARENT):
+    return bench_pairs.compare(pairs(changes, parents), [metric])["ops_per_s"]
+
+
+class TestCompare:
+    def test_fewer_than_ten_pairs_are_never_claimable(self):
+        changes = [p + 5.0 for p in PARENT]
+        assert verdict(changes[:9], parents=PARENT[:9])["wins"] == 9
+        assert not verdict(changes[:9], parents=PARENT[:9])["gain_claimable"]
+        assert verdict(changes)["gain_claimable"]
+
+    def test_nine_wins_in_ten_above_the_parent_spread_are_claimable(self):
+        changes = [p + 5.0 for p in PARENT[:9]] + [PARENT[9] - 1.0]
+        result = verdict(changes)
+        assert (result["wins"], result["losses"]) == (9, 1)
+        assert result["gain_claimable"]
+        # Eight wins are too few, however large the gain.
+        changes[8] = PARENT[8] - 1.0
+        assert not verdict(changes)["gain_claimable"]
+
+    def test_a_median_gap_within_the_parent_spread_is_not_claimable(self):
+        # Every pair is won, but the medians lie 0.3 apart, under the 0.45
+        # between the parent's quartiles.
+        result = verdict([p + 0.3 for p in PARENT])
+        assert result["wins"] == 10
+        assert not result["gain_claimable"]
+
+    def test_ties_count_for_neither_side(self):
+        changes = [p + 5.0 for p in PARENT[:9]] + [PARENT[9]]
+        result = verdict(changes)
+        assert (result["wins"], result["losses"]) == (9, 0)
+        assert result["gain_claimable"]
+        changes[8] = PARENT[8]
+        result = verdict(changes)
+        assert (result["wins"], result["losses"]) == (8, 0)
+        assert not result["gain_claimable"]
+
+    @pytest.mark.parametrize("step", [5.0, -5.0])
+    def test_better_lower_flips_the_sign(self, step):
+        changes = [p + step for p in PARENT]
+        higher, lower = verdict(changes, HIGHER), verdict(changes, LOWER)
+        assert (higher["wins"], higher["losses"]) == (lower["losses"], lower["wins"])
+        assert higher["gain_claimable"] == (step > 0)
+        assert lower["gain_claimable"] == (step < 0)
+        assert higher["median_change"] == lower["median_change"]

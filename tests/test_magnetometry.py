@@ -160,8 +160,11 @@ class TestIngestion:
             ingest_csv("T_K,chi_emu_mol\n")
 
     def test_too_few_points(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="dataset too small: 4 points"):
             ingest_csv("T_K,chi_emu_mol\n10,0.01\n20,0.02\n30,0.03\n40,0.04\n")
+        # The dataset counts the points, after the rows are checked.
+        with pytest.raises(DataFormatError, match="duplicate temperature 20.0 K"):
+            ingest_csv("T_K,chi_emu_mol\n10,0.01\n20,0.02\n20,0.03\n")
 
     def test_nonpositive_values_are_rejected(self):
         with pytest.raises(DataFormatError):

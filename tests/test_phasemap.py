@@ -1139,6 +1139,8 @@ class TestReadPaths:
         "fraction without integer": first(rb"(,heater,)[^,]*", rb"\g<1>.5"),
         "point without digits": first(rb"(,heater,)[^,]*", rb"\g<1>1."),
         "leading zero": first(rb"(,heater,)[^,]*", rb"\g<1>01"),
+        "overflow": first(rb"(,heater,)[^,]*", rb"\g<1>1e999"),
+        "negative overflow": first(rb"(,heater,)[^,]*", rb"\g<1>-1e400"),
         "25-byte field": first(
             rb"(,heater,)[^,]*", rb"\g<1>2.00000000000000000000000"
         ),

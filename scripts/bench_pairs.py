@@ -20,7 +20,9 @@ side's median and quartiles, the change's median relative to the
 parent's, the pairs the change won (ties count for neither side) and
 whether the gain clears the claim rule: at least ten pairs, nine in
 ten of them won, and the medians further apart than the parent's
-quartiles.
+quartiles.  Per workload it also records each side's share of failed
+ops and whether all its runs were correct; a gain never counts when a
+run on either side was incorrect or the change failed a larger share.
 """
 
 from __future__ import annotations
@@ -84,8 +86,31 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Per side: the share of attempted ops that failed, over all runs,
+    and whether every run was correct."""
+    return {
+        side: {
+            "failed_share": sum(p[side]["failed"] for p in pairs)
+            / sum(p[side]["attempted"] for p in pairs),
+            "all_correct": all(p[side]["correct"] for p in pairs),
+        }
+        for side in SIDES
+    }
+
+
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' spread, the relative median change, the wins."""
+    """Per metric: both sides' spread, the relative median change, the wins.
+
+    No gain is claimable unless every run on both sides was correct and
+    the change failed no larger share of its ops than the parent.
+    """
+    fails = failures(pairs)
+    sound = (
+        fails["parent"]["all_correct"]
+        and fails["change"]["all_correct"]
+        and fails["change"]["failed_share"] <= fails["parent"]["failed_share"]
+    )
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -101,7 +126,8 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
             "wins": wins,
             "losses": sum(g < 0 for g in gains),
             "gain_claimable": (
-                len(pairs) >= CLAIM_PAIRS
+                sound
+                and len(pairs) >= CLAIM_PAIRS
                 and wins >= 0.9 * len(pairs)
                 and sign * (change["median"] - parent["median"])
                 > parent["q3"] - parent["q1"]
@@ -147,6 +173,7 @@ def main(argv=None) -> int:
                     print(workload, seed, side, json.dumps(pair[side]), flush=True)
                 pairs.append(pair)
             record["workloads"][workload] = {
+                "failures": failures(pairs),
                 "metrics": compare(pairs, contract["end_to_end"]),
                 "pairs": pairs,
             }

@@ -167,6 +167,12 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GATHERS, _LAYOUT, _LENGTH = _layouts()
 
 
+#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field.
+_FIELD_MASKS = np.uint8(0xFF) * (
+    np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, np.newaxis]
+)
+
+
 def _times_power(a, p, tail=0.0) -> tuple[np.ndarray, np.ndarray]:
     """(a + tail) * 10**p as a double-double y + rest, for a ``tail`` far
     below a's last bit: the exact remainder of y = a * hi (Dekker), then
@@ -278,7 +284,7 @@ def _text_17g(values: np.ndarray) -> np.ndarray:
     unsort = np.empty_like(order)
     unsort[order] = np.arange(len(order))
     text = text.take(unsort, axis=0)
-    text *= np.arange(_TEXT_WIDTH, dtype=np.int8) < _LENGTH.take(row)[:, np.newaxis]
+    text &= _FIELD_MASKS.take(_LENGTH.take(row), axis=0)
     fallback = np.flatnonzero(~ok)
     if len(fallback):
         text[fallback] = _padded([b"%.17g" % v for v in x[fallback].tolist()])
@@ -482,12 +488,6 @@ def _scan(data: bytes, layout: _Layout) -> tuple[np.ndarray, ...] | None:
     if found.any():
         return None
     return buf, starts, lengths
-
-
-#: Row k keeps the first k bytes of a _TEXT_WIDTH-byte field.
-_FIELD_MASKS = np.uint8(0xFF) * (
-    np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, np.newaxis]
-)
 
 
 def _fields(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -50,8 +50,8 @@ from .errors import (
 from .magnetometry import (
     FixG,
     FreeG,
-    _curve_csv,
-    _evaluate_curve,
+    engine_curve,
+    engine_curve_csv,
     fit_bleaney_bowers,
     fit_report_json,
     ingest_csv,
@@ -331,14 +331,14 @@ def _cmd_engine_curve(resolved: dict[str, Any]) -> int:
     axis = _axis(resolved, "th_min", "th_max", "steps")
     if resolved["th_max"] < resolved["th_min"]:
         raise ValidationError("--th-max must be at least --th-min")
-    t_hot, cycles, eta_carnot = _evaluate_curve(
+    curve = engine_curve(
         Coupling(resolved["ja_k"]), Coupling(resolved["jb_k"]), resolved["tc"], axis
     )
-    write(resolved["out"], [_curve_csv(t_hot, cycles, eta_carnot)], "engine curve")
+    write(resolved["out"], [engine_curve_csv(curve)], "engine curve")
 
     _echo(resolved)
-    engine_points = np.count_nonzero(cycles.code == _ENGINE)
-    print(f"points {len(t_hot)} heat_engine {engine_points}")
+    engine_points = np.count_nonzero(curve.cycles.code == _ENGINE)
+    print(f"points {len(curve)} heat_engine {engine_points}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK
 

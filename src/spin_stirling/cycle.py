@@ -396,16 +396,14 @@ def _evaluate(j_a, j_b, t_hot, t_cold, eta_carnot=None) -> _Evaluation:
     return _Evaluation(q_ab, q_bc, q_cd, q_da, work, q_in, q_out, code, eta)
 
 
-def _evaluate_cycles(
-    j_a: Coupling, j_b: Coupling, t_hot, t_cold, stacklevel: int = 3
-) -> _Evaluation:
+def _evaluate_cycles(j_a: Coupling, j_b: Coupling, t_hot, t_cold) -> _Evaluation:
     """:func:`_evaluate` for cycles that :class:`CycleSpec` has validated.
 
     Emits one :class:`CurieRegimeWarning` when any cycle endpoint has
     ``T > |J|/k_B``, where the dimer model leaves the exchange-dominated
-    regime it is meant to describe.  ``stacklevel`` is the warning's, so
-    the default names the caller of this function's caller; a helper
-    between the public function and this one passes one more.
+    regime it is meant to describe.  The warning names the caller of
+    this function's caller, so a public function must call this one
+    directly.
     """
     j_a, j_b = j_a.j_over_kb, j_b.j_over_kb
     # A valid cycle has t_hot > t_cold, so the hot bath against the
@@ -415,7 +413,7 @@ def _evaluate_cycles(
             "cycle endpoint enters the Curie paramagnetic regime "
             "(T > |J|/k_B); the dimer description degrades there",
             CurieRegimeWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return _evaluate(j_a, j_b, t_hot, t_cold)
 

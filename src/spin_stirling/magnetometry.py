@@ -21,10 +21,11 @@ outputs feed acceptance tests and published-figure reproductions.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import json
 import math
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
     "GFactorPolicy",
     "BridgingAngle",
     "EngineCurvePoint",
+    "EngineCurve",
     "bleaney_bowers_chi",
     "bleaney_bowers_jacobian",
     "ingest_csv",
@@ -557,23 +559,49 @@ def coupling_from_angle(angle: BridgingAngle) -> Coupling:
     )
 
 
-def _evaluate_curve(
-    j_a: Coupling, j_b: Coupling, t_cold: float, t_hot_axis: Iterable[float]
-) -> tuple[np.ndarray, _Evaluation, np.ndarray]:
-    """Check and evaluate an engine curve as columns.
+@dataclasses.dataclass(frozen=True, eq=False)
+class EngineCurve(collections.abc.Sequence):
+    """An evaluated engine curve as the evaluator's columns, one entry
+    per hot-bath temperature.
 
-    Returns the hot-bath axis, its evaluation and the Carnot bound,
-    which is ``1.0 - t_cold / t_hot`` of each point bit for bit.  The
-    one step behind :func:`engine_curve` and the command line; the
-    Curie-regime warning names the caller of whichever calls it.
+    A curve is a read-only sequence of :class:`EngineCurvePoint`:
+    ``len``, integer indexing and iteration build points on demand, and
+    a slice is a curve over the same columns.  ``cycles`` holds the
+    ledger columns, the mode codes (indexing ``tuple(OperationMode)``)
+    and the efficiency, NaN outside heat-engine operation;
+    ``eta_carnot`` is ``1.0 - t_cold / t_hot`` of each point bit for
+    bit.  A curve equals another curve or a list when their point lists
+    are equal.
     """
-    axis = [float(t) for t in t_hot_axis]
-    if not axis:
-        raise ValidationError("t_hot_axis must be non-empty")
-    CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
-    t_hot = np.array(axis)
-    cycles = _evaluate_cycles(j_a, j_b, t_hot, t_cold, stacklevel=4)
-    return t_hot, cycles, 1.0 - t_cold / t_hot
+
+    t_hot: np.ndarray
+    cycles: _Evaluation
+    eta_carnot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_hot)
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return EngineCurve(
+                self.t_hot[index],
+                _Evaluation(*(column[index] for column in self.cycles)),
+                self.eta_carnot[index],
+            )
+        k = range(len(self))[index]
+        (point,) = self[k : k + 1]
+        return point
+
+    def __iter__(self) -> Iterator[EngineCurvePoint]:
+        for t_hot, (ledger, mode, eta), eta_carnot in zip(
+            self.t_hot.tolist(), self.cycles.rows(), self.eta_carnot.tolist()
+        ):
+            yield EngineCurvePoint(t_hot, ledger, mode, eta, eta_carnot)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EngineCurve, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def engine_curve(
@@ -581,7 +609,7 @@ def engine_curve(
     j_b: Coupling,
     t_cold: float,
     t_hot_axis: Iterable[float],
-) -> list[EngineCurvePoint]:
+) -> EngineCurve:
     """Evaluate the cycle across a hot-bath temperature axis.
 
     Every axis value must exceed ``t_cold``.  The whole axis is
@@ -591,13 +619,13 @@ def engine_curve(
     instead of a number, so callers never divide by a heat that changed
     sign.
     """
-    t_hot, cycles, eta_carnot = _evaluate_curve(j_a, j_b, t_cold, t_hot_axis)
-    return [
-        EngineCurvePoint(t, ledger, mode, eta, carnot)
-        for t, (ledger, mode, eta), carnot in zip(
-            t_hot.tolist(), cycles.rows(), eta_carnot.tolist()
-        )
-    ]
+    axis = [float(t) for t in t_hot_axis]
+    if not axis:
+        raise ValidationError("t_hot_axis must be non-empty")
+    CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
+    t_hot = np.array(axis)
+    cycles = _evaluate_cycles(j_a, j_b, t_hot, t_cold)
+    return EngineCurve(t_hot, cycles, 1.0 - t_cold / t_hot)
 
 
 _CURVE = _Layout(
@@ -608,50 +636,18 @@ _CURVE = _Layout(
 )
 
 
-def _curve_csv(
-    t_hot: np.ndarray,
-    cycles: _Evaluation,
-    eta_carnot: np.ndarray,
-    eta_absent: np.ndarray | None = None,
-) -> bytes:
-    """The engine-curve CSV of the columns that :func:`_evaluate_curve`
-    returns, written by :func:`spin_stirling._format._table`.
+def _as_curve(points: Sequence[EngineCurvePoint]) -> tuple[EngineCurve, np.ndarray]:
+    """Check a curve for export and convert a plain point sequence to
+    columns, with the rows whose efficiency field is empty.
 
-    ``eta_absent`` marks the rows whose efficiency field is empty; it
-    defaults to the rows outside heat-engine operation.  Any other NaN
-    is written as ``nan``.
-    """
-    if eta_absent is None:
-        eta_absent = cycles.code != _ENGINE
-    values = np.column_stack(
-        (
-            t_hot, cycles.q_ab, cycles.q_bc, cycles.q_cd, cycles.q_da,
-            cycles.work, cycles.eta, eta_carnot,
-        )
-    )
-    values[:, 1:6] *= KB_EV_PER_K
-    nan, absent = _padded([_CURVE.nan, _CURVE.absent])
-    tokens = _padded(_CURVE.tokens)
-
-    def fields(start: int, stop: int) -> list[np.ndarray]:
-        texts = _texts(values[start:stop].ravel(), nan)
-        texts = texts.reshape(stop - start, values.shape[1], -1)
-        texts[eta_absent[start:stop], 6] = absent
-        return [*texts.swapaxes(0, 1), tokens[cycles.code[start:stop]]]
-
-    return b"".join(_table(_CURVE, len(values), fields))
-
-
-def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:
-    """Serialize an engine curve with energies converted to eV.
-
-    Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
-    eta_carnot, mode.  Floats are written as ``%.17g``.  A missing
-    efficiency (``eta`` None, as at every non-engine point) is an empty
-    field.
+    A curve's field is empty outside heat-engine operation.  A plain
+    point's is empty when its ``eta`` is None; any other NaN is written
+    as ``nan``.
     """
     if not points:
         raise ValidationError("engine_curve_csv requires a non-empty curve")
+    if isinstance(points, EngineCurve):
+        return points, points.cycles.code != _ENGINE
     t_hot, *ledger, eta, eta_carnot = np.array(
         [
             (
@@ -666,4 +662,34 @@ def engine_curve_csv(points: list[EngineCurvePoint]) -> bytes:
     code = np.array([_MODES.index(point.mode) for point in points])
     cycles = _Evaluation(*ledger, code=code, eta=eta)
     eta_absent = np.array([point.eta is None for point in points])
-    return _curve_csv(t_hot, cycles, eta_carnot, eta_absent)
+    return EngineCurve(t_hot, cycles, eta_carnot), eta_absent
+
+
+def engine_curve_csv(points: Sequence[EngineCurvePoint]) -> bytes:
+    """Serialize an engine curve with energies converted to eV.
+
+    Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
+    eta_carnot, mode.  Floats are written as ``%.17g`` by
+    :func:`spin_stirling._format._table`.  A missing efficiency (``eta``
+    None, as at every non-engine point) is an empty field.  An
+    :class:`EngineCurve` is written straight from its columns.
+    """
+    curve, eta_absent = _as_curve(points)
+    cycles = curve.cycles
+    values = np.column_stack(
+        (
+            curve.t_hot, cycles.q_ab, cycles.q_bc, cycles.q_cd, cycles.q_da,
+            cycles.work, cycles.eta, curve.eta_carnot,
+        )
+    )
+    values[:, 1:6] *= KB_EV_PER_K
+    nan, absent = _padded([_CURVE.nan, _CURVE.absent])
+    tokens = _padded(_CURVE.tokens)
+
+    def fields(start: int, stop: int) -> list[np.ndarray]:
+        texts = _texts(values[start:stop].ravel(), nan)
+        texts = texts.reshape(stop - start, values.shape[1], -1)
+        texts[eta_absent[start:stop], 6] = absent
+        return [*texts.swapaxes(0, 1), tokens[cycles.code[start:stop]]]
+
+    return b"".join(_table(_CURVE, len(values), fields))

@@ -16,10 +16,14 @@ LOWER = {"name": "ops_per_s", "unit": "op/s", "better": "lower"}
 PARENT = [100.0 + 0.1 * k for k in range(10)]
 
 
+def run(ops_per_s, failed=0, correct=True):
+    return {"correct": correct, "attempted": 1000, "failed": failed,
+            "ops_per_s": ops_per_s}
+
+
 def pairs(changes, parents=PARENT):
     return [
-        {"parent": {"ops_per_s": p}, "change": {"ops_per_s": c}}
-        for p, c in zip(parents, changes)
+        {"parent": run(p), "change": run(c)} for p, c in zip(parents, changes)
     ]
 
 
@@ -68,3 +72,27 @@ class TestCompare:
         assert higher["gain_claimable"] == (step > 0)
         assert lower["gain_claimable"] == (step < 0)
         assert higher["median_change"] == lower["median_change"]
+
+    # A clear gain: ten wins of 5.0, far beyond the parent's spread.
+    GAIN = [p + 5.0 for p in PARENT]
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_an_incorrect_run_on_either_side_voids_the_claim(self, side):
+        runs = pairs(self.GAIN)
+        runs[3][side] = run(runs[3][side]["ops_per_s"], correct=False)
+        result = bench_pairs.compare(runs, [HIGHER])["ops_per_s"]
+        assert result["wins"] == 10
+        assert not result["gain_claimable"]
+        assert not bench_pairs.failures(runs)[side]["all_correct"]
+
+    def test_a_larger_failed_share_voids_the_claim(self):
+        runs = pairs(self.GAIN)
+        runs[0]["parent"] = run(PARENT[0], failed=1)
+        runs[5]["change"] = run(self.GAIN[5], failed=2)
+        shares = bench_pairs.failures(runs)
+        assert shares["parent"] == {"failed_share": 1 / 10000, "all_correct": True}
+        assert shares["change"] == {"failed_share": 2 / 10000, "all_correct": True}
+        assert not bench_pairs.compare(runs, [HIGHER])["ops_per_s"]["gain_claimable"]
+        # An equal share leaves the gain claimable.
+        runs[7]["parent"] = run(PARENT[7], failed=1)
+        assert bench_pairs.compare(runs, [HIGHER])["ops_per_s"]["gain_claimable"]

@@ -353,6 +353,24 @@ class TestEngineCurveCommand:
         assert out.read_bytes() == engine_curve_csv(points)
         assert "points 60 heat_engine 1" in capsys.readouterr().out.splitlines()
 
+    def test_goes_through_the_public_functions(self, tmp_path, monkeypatch):
+        # The tracer meters these bindings, so the command must call them.
+        out = tmp_path / "curve.csv"
+        args = self.BASE + ["--steps", "34", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        expected = out.read_bytes()
+        out.unlink()
+        calls = []
+        for name in ("engine_curve", "engine_curve_csv"):
+            def counted(*call_args, _name=name, _function=getattr(cli, name), **kw):
+                calls.append(_name)
+                return _function(*call_args, **kw)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert main(args) == EXIT_OK
+        assert calls == ["engine_curve", "engine_curve_csv"]
+        assert out.read_bytes() == expected
+
     def test_rejects_nonpositive_steps(self, tmp_path):
         args = self.BASE + ["--steps", "0", "--out", str(tmp_path / "c.csv")]
         assert main(args) == EXIT_VALIDATION

@@ -24,6 +24,7 @@ from spin_stirling.magnetometry import (
     ANGLE_SLOPE_K_PER_DEG,
     BridgingAngle,
     DEFAULT_G_FACTOR,
+    EngineCurve,
     FitResult,
     FixG,
     FreeG,
@@ -550,27 +551,66 @@ class TestEngineCurve:
         assume(j_a != j_b)
         j_a, j_b = Coupling(j_a), Coupling(j_b)
         axis = np.linspace(t_cold * start, t_cold * start + span, steps).tolist()
-        t_hot, cycles, eta_carnot = mag._evaluate_curve(j_a, j_b, t_cold, axis)
-        points = engine_curve(j_a, j_b, t_cold, axis)
-        expected = reference_curve_csv(points)
-        assert engine_curve_csv(points) == expected
+        curve = engine_curve(j_a, j_b, t_cold, axis)
+        expected = reference_curve_csv(curve)
+        assert engine_curve_csv(list(curve)) == expected
         for block_rows in (1, 7, _format._BLOCK_ROWS):
             for cpus in (1, 2):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(_format, "_BLOCK_ROWS", block_rows)
                     patch.setattr(_format, "_cpus", lambda: cpus)
-                    assert mag._curve_csv(t_hot, cycles, eta_carnot) == expected
+                    assert engine_curve_csv(curve) == expected
         per_point = np.array([1.0 - t_cold / t for t in axis])
-        assert np.array_equal(eta_carnot.view(np.int64), per_point.view(np.int64))
+        assert np.array_equal(curve.eta_carnot.view(np.int64), per_point.view(np.int64))
 
     def test_block_pairs_write_the_serial_bytes(self, monkeypatch):
         axis = np.linspace(21.0, 400.0, 3 * _format._BLOCK_ROWS + 5).tolist()
-        columns = mag._evaluate_curve(Coupling(-42.0), Coupling(-32.0), 20.0, axis)
+        curve = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, axis)
         monkeypatch.setattr(_format, "_cpus", lambda: 1)
-        serial = mag._curve_csv(*columns)
+        serial = engine_curve_csv(curve)
         monkeypatch.setattr(_format, "_cpus", lambda: 2)
-        assert mag._curve_csv(*columns) == serial
+        assert engine_curve_csv(curve) == serial
+
+    @staticmethod
+    def mixed_curve():
+        """A curve of one heat-engine point, then five accelerators."""
+        axis = np.linspace(5.05, 335.0, 6)
+        curve = engine_curve(Coupling(10.0), Coupling(-50.0), 5.0, axis)
+        assert isinstance(curve, EngineCurve)
+        return curve
+
+    def test_curve_is_a_sequence_of_points(self):
+        curve = self.mixed_curve()
+        points = list(curve)
+        assert len(curve) == len(points) == 6
+        assert [point.mode for point in points] == [
+            OperationMode.HEAT_ENGINE, *[OperationMode.ACCELERATOR] * 5
+        ]
+        assert curve[0] == points[0] and curve[0].eta is not None
+        assert curve[-1] == points[-1] and curve[-6] == points[0]
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                curve[index]
+        for part in (slice(1, 4), slice(None, None, -2), slice(4, 1), slice(-2, None)):
+            assert curve[part] == points[part]
+            assert isinstance(curve[part], EngineCurve)
+
+    def test_curve_compares_as_its_point_list(self):
+        curve = self.mixed_curve()
+        assert curve == list(curve)
+        assert list(curve) == curve
+        assert curve == self.mixed_curve()
+        assert curve != list(curve)[:-1]
+        assert list(curve)[:-1] != curve
+        assert curve != tuple(curve)
+
+    def test_curve_writes_the_bytes_of_its_points(self):
+        curve = self.mixed_curve()
+        assert engine_curve_csv(curve) == engine_curve_csv(list(curve))
+        assert engine_curve_csv(curve[1:3]) == engine_curve_csv(list(curve)[1:3])
 
     def test_csv_rejects_empty_curves(self):
         with pytest.raises(ValidationError):
             engine_curve_csv([])
+        with pytest.raises(ValidationError):
+            engine_curve_csv(self.mixed_curve()[:0])

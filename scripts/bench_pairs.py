@@ -20,7 +20,10 @@ side's median and quartiles, the change's median relative to the
 parent's, the pairs the change won (ties count for neither side) and
 whether the gain clears the claim rule: at least ten pairs, nine in
 ten of them won, and the medians further apart than the parent's
-quartiles.  Per workload it also records each side's share of failed
+quartiles.  Each metric also carries its ``bound`` from
+``BENCHMARK.json``, whether the change's median is within it
+(``within_bound``) and whether the parent's spread lets the pairs tell
+(``resolved``).  Per workload it also records each side's share of failed
 ops and whether all its runs were correct; a gain never counts when a
 run on either side was incorrect or the change failed a larger share.
 """
@@ -100,10 +103,16 @@ def failures(pairs: list[dict]) -> dict:
 
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' spread, the relative median change, the wins.
+    """Per metric: both sides' spread, the relative median change, the wins
+    and the no-regression verdict.
 
-    No gain is claimable unless every run on both sides was correct and
-    the change failed no larger share of its ops than the parent.
+    The verdict takes the metric's ``bound``: the change is within it when
+    its median is no worse than the parent's by more than ``bound`` of the
+    parent's, and the comparison is resolved when the parent's quartiles
+    lie within ``bound`` of its median, or every change run reads better
+    than every parent run.  No gain is claimable unless every run on both
+    sides was correct and the change failed no larger share of its ops
+    than the parent.
     """
     fails = failures(pairs)
     sound = (
@@ -118,13 +127,24 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = sides["parent"], sides["change"]
         gains = [sign * (p["change"][name] - p["parent"][name]) for p in pairs]
         wins = sum(g > 0 for g in gains)
+        median_change = change["median"] / parent["median"] - 1
+        # Every change run reads better than every parent run.
+        apart = min(sign * p["change"][name] for p in pairs) > max(
+            sign * p["parent"][name] for p in pairs
+        )
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **sides,
-            "median_change": change["median"] / parent["median"] - 1,
+            "median_change": median_change,
             "wins": wins,
             "losses": sum(g < 0 for g in gains),
+            "bound": metric["bound"],
+            "within_bound": sign * median_change >= -metric["bound"],
+            "resolved": (
+                (parent["q3"] - parent["q1"]) / parent["median"] <= metric["bound"]
+                or apart
+            ),
             "gain_claimable": (
                 sound
                 and len(pairs) >= CLAIM_PAIRS

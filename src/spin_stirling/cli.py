@@ -120,18 +120,17 @@ _CYCLE_PARAMS = (
     _Param("json", _parse_bool, default=False, help="emit a JSON report"),
 )
 
+# The grid parameters default to SweepGrid.default's, see _cmd_sweep.
 _SWEEP_PARAMS = (
-    _Param(
-        "branch", str, default="b-negative", help="b-negative (default) or b-positive"
-    ),
-    _Param("jb_k", float, default=None, help="anchor J_B/k_B in K"),
-    _Param("tc", float, default=20.0, help="anchor cold temperature in K"),
-    _Param("ratio_min", float, default=-3.0),
-    _Param("ratio_max", float, default=3.0),
-    _Param("ratio_steps", int, default=400),
-    _Param("tr_min", float, default=1.005),
-    _Param("tr_max", float, default=3.0),
-    _Param("tr_steps", int, default=400),
+    _Param("branch", str, help="b-negative (default) or b-positive"),
+    _Param("jb_k", float, help="anchor J_B/k_B in K"),
+    _Param("tc", float, help="anchor cold temperature in K"),
+    _Param("ratio_min", float),
+    _Param("ratio_max", float),
+    _Param("ratio_steps", int),
+    _Param("tr_min", float),
+    _Param("tr_max", float),
+    _Param("tr_steps", int),
     _Param("format", str, default="csv", help="csv (default) or json"),
     _Param("out", str, required=True, help="output file path"),
 )
@@ -271,10 +270,26 @@ def _cmd_cycle(resolved: dict[str, Any]) -> int:
     return EXIT_OK
 
 
+def _sweep_params(grid: SweepGrid) -> dict[str, Any]:
+    """The sweep parameters that give ``grid``, but for ``format`` and
+    ``out``."""
+    ratios, temp_ratios = grid.coupling_ratio_axis, grid.temp_ratio_axis
+    return dict(
+        branch=grid.branch.value, jb_k=grid.anchor.j_b.j_over_kb, tc=grid.anchor.t_cold,
+        ratio_min=ratios[0], ratio_max=ratios[-1], ratio_steps=len(ratios),
+        tr_min=temp_ratios[0], tr_max=temp_ratios[-1], tr_steps=len(temp_ratios),
+    )
+
+
 def _cmd_sweep(resolved: dict[str, Any]) -> int:
-    branch = Branch.from_token(resolved["branch"])
-    if resolved["jb_k"] is None:
-        resolved["jb_k"] = -32.0 if branch is Branch.B_NEGATIVE else 32.0
+    token = resolved["branch"]
+    default = (
+        SweepGrid.default() if token is None
+        else SweepGrid.default(Branch.from_token(token))
+    )
+    for key, value in _sweep_params(default).items():
+        if resolved[key] is None:
+            resolved[key] = value
     _check_format(resolved["format"])
     grid = SweepGrid(
         coupling_ratio_axis=tuple(
@@ -282,7 +297,7 @@ def _cmd_sweep(resolved: dict[str, Any]) -> int:
         ),
         temp_ratio_axis=tuple(_axis(resolved, "tr_min", "tr_max", "tr_steps")),
         anchor=GridAnchor(j_b=Coupling(resolved["jb_k"]), t_cold=resolved["tc"]),
-        branch=branch,
+        branch=default.branch,
     )
     cells = sweep(grid)
     export_to_path(cells, resolved["out"], format=resolved["format"])

@@ -300,6 +300,13 @@ def _classify(work, q_in, q_out, tolerance, floor=0.0):
     return np.where(carnot, np.int8(_CARNOT), codes)
 
 
+def _read_only(column) -> np.ndarray:
+    """A read-only view of ``column``; the caller's array stays writable."""
+    view = np.asarray(column).view()
+    view.flags.writeable = False
+    return view
+
+
 class _Evaluation(NamedTuple):
     """Cycles evaluated by :func:`_evaluate`, one array per quantity."""
 

@@ -44,6 +44,7 @@ from .cycle import (
     StrokeLedger,
     _Evaluation,
     _evaluate_cycles,
+    _read_only,
 )
 from ._format import _Layout, _padded, _table, _texts, decoding
 from .errors import DataFormatError, ValidationError
@@ -571,12 +572,17 @@ class EngineCurve(collections.abc.Sequence):
     and the efficiency, NaN outside heat-engine operation;
     ``eta_carnot`` is ``1.0 - t_cold / t_hot`` of each point bit for
     bit.  A curve equals another curve or a list when their point lists
-    are equal.
+    are equal.  The columns, those of ``cycles`` too, are read-only views.
     """
 
     t_hot: np.ndarray
     cycles: _Evaluation
     eta_carnot: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "t_hot", _read_only(self.t_hot))
+        object.__setattr__(self, "cycles", _Evaluation(*map(_read_only, self.cycles)))
+        object.__setattr__(self, "eta_carnot", _read_only(self.eta_carnot))
 
     def __len__(self) -> int:
         return len(self.t_hot)

@@ -31,11 +31,11 @@ table writer (:func:`spin_stirling._format._table`), with each value's
 text from a vectorized ``%.17g`` that writes the same bytes as
 Python's.  A JSON export refuses the values JSON cannot hold, and a JSON
 read refuses them too.  :func:`read_cells` reads either format back as
-columns through ``_format``'s inverse of that writer; this module adds
-the mode-map rules: the literals each column may hold, the mode tokens,
-and a CSV efficiency empty exactly off heat-engine rows.  CSV that is
-not export text raises, naming its first bad row; JSON in any other
-layout goes through ``json.loads``, with the same results and errors.
+columns through ``_format``'s inverse of that writer, and reads nothing
+else; this module adds the mode-map rules: the literals each column may
+hold, the mode tokens, and the layout's ``absent`` efficiency exactly
+off heat-engine rows.  Bytes that are not export text raise
+:class:`ValidationError`, naming the first bad row and its line.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ import dataclasses
 import enum
 import json
 import math
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .core import Coupling
-from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate
+from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate, _read_only
 from ._format import _BLOCK_ROWS, _Layout, _fields, _padded, _parse_17g, _scan
 from ._format import _table, _texts, decode, write
 from .errors import ValidationError
@@ -215,9 +214,9 @@ class ModeMap(collections.abc.Sequence):
     indexing and iteration build cells on demand (so every cell a caller
     sees passes :class:`ModeCell` validation), and a slice is a map over
     the same columns.  ``mode_code`` indexes ``tuple(OperationMode)``;
-    ``eta_over_carnot`` is NaN wherever a cell has no efficiency.  Two
-    maps are equal when their cell lists would be, so NaN energies
-    compare unequal.
+    ``eta_over_carnot`` is NaN wherever a cell has no efficiency.  A map
+    equals another map or a list when their cell lists are equal, so NaN
+    energies compare unequal.  The columns are read-only views.
 
     Construction checks the :class:`ModeCell` rule on whole columns:
     ``eta_over_carnot`` lies in (0, 1) on every heat-engine cell and is
@@ -247,9 +246,7 @@ class ModeMap(collections.abc.Sequence):
                 and np.all((column >= 0) & (column < len(_MODES)))
             ):
                 raise ValidationError("mode_code entries must index OperationMode")
-            # A read-only view: the caller's array stays writable.
-            column = column.astype(dtype, copy=False).view()
-            column.flags.writeable = False
+            column = _read_only(column.astype(dtype, copy=False))
             object.__setattr__(self, field.name, column)
         engine = self.mode_code == _ENGINE
         eta = self.eta_over_carnot
@@ -299,6 +296,8 @@ class ModeMap(collections.abc.Sequence):
                 )
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
         if not isinstance(other, ModeMap):
             return NotImplemented
         if len(self) != len(other):
@@ -427,10 +426,6 @@ _LAYOUTS = {
     ),
 }
 
-#: Mode code by serialization token.
-_CODE_OF_TOKEN = {mode.token: code for code, mode in enumerate(_MODES)}
-
-
 def _check_format(format: str) -> None:
     if not isinstance(format, str) or format not in _LAYOUTS:
         raise ValidationError(
@@ -465,7 +460,7 @@ def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
     if not isinstance(cells, ModeMap):
         rows = [
             (
-                cell.coupling_ratio, cell.temp_ratio, _CODE_OF_TOKEN[cell.mode.token],
+                cell.coupling_ratio, cell.temp_ratio, _MODES.index(cell.mode),
                 cell.work, cell.q_in, cell.q_out,
                 math.nan if cell.eta_over_carnot is None else cell.eta_over_carnot,
             )
@@ -561,10 +556,11 @@ def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
     """The columns of ``data`` if it is byte for byte an export in
     ``format``, else None: fields where :func:`_scan` finds them, each an
     export number (read by :func:`_parse_17g`) or one of the format's
-    :data:`_LITERALS`, and the layout's mode tokens.  A CSV efficiency is
-    empty exactly off heat-engine rows; JSON drops it there, as
-    ``json.loads`` does."""
-    scan = _scan(data, _LAYOUTS[format])
+    :data:`_LITERALS`, and the layout's mode tokens.  The efficiency
+    field holds the layout's ``absent`` literal exactly on the rows
+    outside heat-engine mode."""
+    layout = _LAYOUTS[format]
+    scan = _scan(data, layout)
     if scan is None:
         return None
     buf, starts, lengths = scan
@@ -572,8 +568,10 @@ def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
     mode = _EXPORT_COLUMNS.index("mode")
     numeric = [k for k in range(len(_EXPORT_COLUMNS)) if k != mode]
     numbers = _fields(buf, starts[:, numeric].T, lengths[:, numeric].T)
+    words = numbers.view(np.uint64)
+    absent = np.all(words[-rows:] == _padded([layout.absent]).view(np.uint64), axis=1)
     # A literal is found by its field's first 8 bytes, and parses as 0.
-    first_words = numbers.view(np.uint64)[:, 0]
+    first_words = words[:, 0]
     literals = []
     for text, value, first in _LITERALS[format]:
         found = first_words == int.from_bytes(text, "little")
@@ -588,105 +586,65 @@ def _scanned_columns(data: bytes, format: str) -> tuple[np.ndarray, ...] | None:
         values[found] = value
 
     # A mode is looked up by its first 8 bytes, then compared whole.
-    tokens = _padded(_LAYOUTS[format].tokens).view(np.uint64)
+    tokens = _padded(layout.tokens).view(np.uint64)
     found = _fields(buf, starts[:, mode], lengths[:, mode]).view(np.uint64)
     order = np.argsort(tokens[:, 0])
     slots = np.searchsorted(tokens[order, 0], found[:, 0]).clip(max=len(order) - 1)
     codes = order[slots].astype(np.int8)
     if not np.array_equal(found, tokens[codes]):
         return None
-    ratio, temp_ratio, work, q_in, q_out, eta = values.reshape(len(numeric), rows)
-    off_engine = codes != _ENGINE
-    if format == "csv" and not np.array_equal(lengths[:, -1] == 0, off_engine):
+    if not np.array_equal(absent, codes != _ENGINE):
         return None
-    eta[off_engine] = math.nan
+    ratio, temp_ratio, work, q_in, q_out, eta = values.reshape(len(numeric), rows)
     return ratio, temp_ratio, codes, work, q_in, q_out, eta
 
 
-def _csv_error(data: bytes) -> ValidationError:
-    """The error for CSV that :func:`_scanned_columns` refuses, naming the
-    first row it refuses; rows are scanned alone, so bisection finds it."""
+def _error(data: bytes, format: str) -> ValidationError:
+    """The error for ``data`` that :func:`_scanned_columns` refuses,
+    naming the first row it refuses.  Line k > 0 is row k, its separator
+    included; a run of rows is scanned as the layout's head, the rows
+    without their last separator and the layout's tail, so bisection
+    finds the row.  Each run starts at the last row known to scan, so
+    the separator before the run is checked too."""
     decode(data, ValidationError, "export")
-    head = _LAYOUTS["csv"].head
-    if not data.startswith(head):
-        return ValidationError("CSV header does not match the export contract")
-    # Line k > 0 is row k, and data[ends[j] : ends[k]] holds rows j + 1 to k.
+    layout = _LAYOUTS[format]
+    if not data.startswith(layout.head):
+        return ValidationError(
+            f"{format.upper()} header does not match the export contract"
+        )
     lines = data.split(b"\n")
     ends = np.cumsum([len(line) + 1 for line in lines])
+    last = layout.separator.removesuffix(b"\n")
+
+    def scans(row_lines: bytes) -> tuple[np.ndarray, ...] | None:
+        rows = row_lines.removesuffix(b"\n").removesuffix(last)
+        return _scanned_columns(layout.head + rows + layout.tail, format)
+
     good, bad = 0, len(lines) - 1 - data.endswith(b"\n")
     if not bad:
-        return ValidationError("CSV export has no rows")
+        return ValidationError(f"{format.upper()} export has no rows")
     while bad - good > 1:  # the scan accepts the rows up to good, not to bad
         mid = (good + bad) // 2
-        if _scanned_columns(head + data[ends[good] : ends[mid]], "csv") is None:
+        if scans(data[ends[max(good, 1) - 1] : ends[mid]]) is None:
             bad = mid
         else:
             good = mid
-    line = lines[bad]
-    where = f"export row at line {bad + 1}: {line.decode()!r}"
-    # A row that scans once its efficiency is emptied holds one off engine.
-    cut = _scanned_columns(head + line[: line.rfind(b",") + 1] + b"\n", "csv")
-    if cut is None:
+    row = lines[bad].removesuffix(last)
+    absent = None
+    if scans(row) is None:
+        # A row that scans with an absent efficiency holds one off engine.
+        *_, before, after = layout.row.split(b"%s")  # around the efficiency
+        k = row.rfind(before)
+        absent = None if k < 0 else scans(row[: k + len(before)] + layout.absent + after)
+    elif bad > 1 and scans(data[ends[bad - 2] : ends[bad]]) is None:
+        # The row scans alone but not after the line before it, which
+        # lacks its separator.
+        bad -= 1
+    where = f"export row at line {bad + 1}: {lines[bad].decode()!r}"
+    if absent is None:
         return ValidationError(f"malformed {where}")
-    mode = f"mode {_MODES[cut[2][0]].token!r}"
+    mode = f"mode {_MODES[absent[2][0]].token!r}"
     return ValidationError(f"eta_over_carnot must be absent for {mode} in {where}")
-
-
-def _json_numbers(values, nullable: bool, rows, what: str) -> np.ndarray:
-    """A column of JSON numbers, and of nulls (as NaN) where ``nullable``;
-    any other value raises, naming its row."""
-    allowed = {float, type(None)} if nullable else {float}
-    if not set(map(type, values)) <= allowed:
-        for value, row in zip(values, rows):
-            if type(value) not in allowed:
-                raise ValidationError(f"bad {what} {value!r} in export row {row!r}")
-    return np.array(values, dtype=float)
-
-
-def _json_map(text: str) -> ModeMap:
-    """The cells of a JSON export, read with ``json.loads``."""
-    try:
-        # Integer literals parse as floats so that ``-0`` keeps its sign;
-        # NaN and Infinity, which JSON lacks, stay text and fail type checks.
-        rows = json.loads(text, parse_int=float, parse_constant=str)
-    except json.JSONDecodeError as exc:
-        start = text.rfind("\n", 0, exc.pos) + 1
-        end = text.find("\n", exc.pos)
-        row = text[start : end if end >= 0 else len(text)]
-        raise ValidationError(
-            f"malformed JSON export at line {exc.lineno}, column {exc.colno} "
-            f"({exc.msg}): {row!r}"
-        ) from None
-    if not isinstance(rows, list):
-        raise ValidationError("a JSON export must be an array of rows")
-    if not rows:
-        raise ValidationError("JSON export has no rows")
-    try:
-        columns = list(zip(*map(operator.itemgetter(*_EXPORT_COLUMNS), rows)))
-    except (KeyError, TypeError):
-        for row in rows:
-            if not isinstance(row, dict):
-                raise ValidationError(f"JSON export row is not an object: {row!r}")
-            for key in _EXPORT_COLUMNS:
-                if key not in row:
-                    raise ValidationError(f"export row lacks key {key!r}: {row!r}")
-        raise
-    ratio, temp_ratio, modes, work, q_in, q_out, eta = columns
-    ratio = _json_numbers(ratio, False, rows, "coupling_ratio")
-    temp_ratio = _json_numbers(temp_ratio, False, rows, "temp_ratio")
-    # Only a str is looked up: a list or dict would be unhashable.
-    codes = [_CODE_OF_TOKEN.get(mode) if type(mode) is str else None for mode in modes]
-    if None in codes:
-        k = codes.index(None)
-        raise ValidationError(f"bad mode {modes[k]!r} in export row {rows[k]!r}")
-    codes = np.array(codes, np.int8)
-    work = _json_numbers(work, True, rows, "work")
-    q_in = _json_numbers(q_in, True, rows, "q_in")
-    q_out = _json_numbers(q_out, True, rows, "q_out")
-    eta = _json_numbers(eta, True, rows, "eta_over_carnot")
-    # JSON rows of non-engine modes may carry any efficiency; it is dropped.
-    eta[codes != _ENGINE] = math.nan
-    return _json_values(ModeMap(ratio, temp_ratio, codes, work, q_in, q_out, eta))
 
 
 def read_cells(data: bytes, format: str = "csv") -> ModeMap:
@@ -694,24 +652,26 @@ def read_cells(data: bytes, format: str = "csv") -> ModeMap:
 
     Exists mainly so the serialization contract (bit-exact roundtrip)
     is testable and so downstream tools can re-ingest exports.  Both
-    formats are read column-wise by one layout scan: every byte must
-    stand where :func:`export` puts it, and a number must be a finite
-    JSON number of at most 24 bytes (read as the bits ``float()`` gives)
-    or a literal the export writes there: CSV ``nan``, ``inf`` or
-    ``-inf``, or an empty efficiency exactly off heat-engine rows; JSON
-    ``null`` in the energies and the efficiency.  CSV that the scan
-    refuses raises :class:`ValidationError` naming its first bad row and
-    line.  JSON that it refuses goes through ``json.loads``,
-    which accepts the same inputs, gives the same bits and raises the
-    same errors, naming the row, or the cell of a number that overflows;
-    a JSON row outside heat-engine mode may carry any efficiency, which
-    is dropped.  Bytes that are not UTF-8 raise naming the byte offset,
-    and an unknown format raises before the bytes are read.
+    formats are read column-wise by one layout scan, and only export
+    text reads: every byte must stand where :func:`export` puts it, a
+    number must be a finite JSON number of at most 24 bytes (read as
+    the bits ``float()`` gives) or a literal the export writes there
+    (CSV ``nan``, ``inf`` or ``-inf``; JSON ``null`` in the energies and
+    the efficiency), and the efficiency must be absent (an empty CSV
+    field, a JSON ``null``) exactly on the rows outside heat-engine
+    mode.
+
+    Raises :class:`ValidationError` for anything else: bytes that are not
+    UTF-8, naming the byte offset; a head that is not the format's
+    header; no rows; else the first row that does not scan, named with
+    its line, and said to hold an efficiency that must be absent when it
+    would scan without one.  So valid JSON that :func:`export` would not
+    write (keys reordered or repeated, other whitespace, escaped tokens,
+    longer numbers) raises.  An unknown format raises before the bytes
+    are read.
     """
     _check_format(format)
     columns = _scanned_columns(data, format)
-    if columns is not None:
-        return ModeMap(*columns)
-    if format == "json":
-        return _json_map(decode(data, ValidationError, "export"))
-    raise _csv_error(data)
+    if columns is None:
+        raise _error(data, format)
+    return ModeMap(*columns)

@@ -10,8 +10,8 @@ spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-HIGHER = {"name": "ops_per_s", "unit": "op/s", "better": "higher"}
-LOWER = {"name": "ops_per_s", "unit": "op/s", "better": "lower"}
+HIGHER = {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "ops_per_s", "unit": "op/s", "better": "lower", "bound": 0.25}
 # Parent runs 100.0 to 100.9: quartiles 0.45 apart.
 PARENT = [100.0 + 0.1 * k for k in range(10)]
 
@@ -96,3 +96,31 @@ class TestCompare:
         # An equal share leaves the gain claimable.
         runs[7]["parent"] = run(PARENT[7], failed=1)
         assert bench_pairs.compare(runs, [HIGHER])["ops_per_s"]["gain_claimable"]
+
+
+class TestBound:
+    @pytest.mark.parametrize("metric", [HIGHER, LOWER], ids=["higher", "lower"])
+    def test_thirty_percent_worse_is_out_of_bound(self, metric):
+        worse = 1.3 if metric is LOWER else 0.7
+        result = verdict([p * worse for p in PARENT], metric)
+        assert result["bound"] == 0.25
+        assert not result["within_bound"]
+        assert result["resolved"]
+
+    @pytest.mark.parametrize("metric", [HIGHER, LOWER], ids=["higher", "lower"])
+    def test_ten_percent_worse_is_within_bound(self, metric):
+        worse = 1.1 if metric is LOWER else 0.9
+        result = verdict([p * worse for p in PARENT], metric)
+        assert result["within_bound"]
+        assert result["resolved"]
+
+    def test_a_wide_parent_spread_is_unresolved_unless_every_run_is_won(self):
+        # Parent runs 70 to 133: quartiles 31% of the median apart.
+        parents = [70.0 + 7.0 * k for k in range(10)]
+        assert not verdict(parents, parents=parents)["resolved"]
+        # Winning every pair is not enough: the runs still overlap.
+        overlapping = verdict([p + 1.0 for p in parents], parents=parents)
+        assert overlapping["wins"] == 10
+        assert not overlapping["resolved"]
+        assert verdict([134.0 + k for k in range(10)], parents=parents)["resolved"]
+        assert not verdict([133.0] + [140.0] * 9, parents=parents)["resolved"]

@@ -26,6 +26,7 @@ from spin_stirling.magnetometry import (
     engine_curve,
     engine_curve_csv,
 )
+from spin_stirling.phasemap import SweepGrid, export, sweep
 
 CYCLE_ARGS = ["cycle", "--ja-k", "-42", "--jb-k", "-32", "--th", "40", "--tc", "20"]
 
@@ -147,6 +148,18 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[1:]
         for token, count in counts.items():
             assert sum(row.split(",")[2] == token for row in rows) == count
+
+    def test_flag_less_sweep_writes_the_default_grid(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        assert main(["sweep", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == export(sweep(SweepGrid.default()))
+        echo = [line for line in capsys.readouterr().out.splitlines() if line[0] == "#"]
+        assert echo == [
+            "# branch = 'b-negative'", "# jb_k = -32.0", "# tc = 20.0",
+            "# ratio_min = -3.0", "# ratio_max = 3.0", "# ratio_steps = 400",
+            "# tr_min = 1.005", "# tr_max = 3.0", "# tr_steps = 400",
+            "# format = 'csv'", f"# out = {str(out)!r}",
+        ]
 
     def test_json_output_matches_schema(self, tmp_path):
         out = tmp_path / "map.json"

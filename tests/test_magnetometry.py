@@ -604,6 +604,17 @@ class TestEngineCurve:
         assert list(curve)[:-1] != curve
         assert curve != tuple(curve)
 
+    def test_columns_are_read_only(self):
+        curve = self.mixed_curve()
+        columns = [curve.t_hot, *curve.cycles, curve.eta_carnot]
+        for column in columns + [curve[1:].t_hot, *curve[1:].cycles]:
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        # A curve over a caller's arrays leaves them writable.
+        t_hot = np.array(curve.t_hot)
+        EngineCurve(t_hot, curve.cycles, curve.eta_carnot)
+        t_hot[0] = 1.0
+
     def test_curve_writes_the_bytes_of_its_points(self):
         curve = self.mixed_curve()
         assert engine_curve_csv(curve) == engine_curve_csv(list(curve))

@@ -831,15 +831,9 @@ class TestExportBytes:
             assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_json_exports_are_read_by_the_layout_scan(self, grid, monkeypatch):
+    def test_json_exports_are_read_by_the_layout_scan(self, grid):
         cells = sweep(self.GRIDS[grid]())
-        data = export(cells, format="json")
-
-        def no_fallback(text):
-            raise AssertionError("the export left the layout scan")
-
-        monkeypatch.setattr(phasemap, "_json_map", no_fallback)
-        assert_same_columns(read_cells(data, format="json"), cells)
+        assert_same_columns(read_cells(export(cells, format="json"), format="json"), cells)
 
     def test_export_to_path_memory_does_not_grow_with_the_grid(
         self, monkeypatch, tmp_path
@@ -882,6 +876,13 @@ class TestModeMap:
     def test_columns_are_read_only(self, cells):
         with pytest.raises(ValueError):
             cells.work[0] = 1.0
+
+    def test_map_compares_as_its_cell_list(self, cells):
+        assert cells == list(cells)
+        assert list(cells) == cells
+        assert cells != list(cells)[:-1]
+        assert list(cells)[:-1] != cells
+        assert cells != tuple(cells)
 
     def test_equality_follows_the_cells(self, cells):
         grid = small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.5])
@@ -936,17 +937,25 @@ class TestReadCellsErrors:
         assert lines[2].decode() in str(err.value)
 
     def test_json_row_without_a_key_is_a_validation_error(self, cells):
-        rows = json.loads(export(cells, format="json"))
+        data = export(cells, format="json")
+        lines = data.split(b"\n")
+        lines[2] = re.sub(rb'"q_in": [^,]*, ', b"", lines[2])
+        assert refusal(b"\n".join(lines), "json") == (
+            f"malformed export row at line 3: {lines[2].decode()!r}"
+        )
+        # The same rows in json.dumps' layout are not export text.
+        rows = json.loads(data)
         del rows[1]["q_in"]
-        with pytest.raises(ValidationError, match="q_in"):
-            read_cells(json.dumps(rows).encode(), format="json")
+        assert refusal(json.dumps(rows).encode(), "json") == (
+            "JSON header does not match the export contract"
+        )
 
     def test_truncated_json_is_a_validation_error(self, cells):
         data = export(cells, format="json")
         cut = data[: len(data) // 2]
-        with pytest.raises(ValidationError, match="malformed JSON") as err:
-            read_cells(cut, format="json")
-        assert cut.decode().rsplit("\n", 1)[1] in str(err.value)
+        line = cut.count(b"\n") + 1
+        text = cut.decode().rsplit("\n", 1)[1]
+        assert refusal(cut, "json") == f"malformed export row at line {line}: {text!r}"
 
     def test_unknown_mode_token_is_rejected(self, cells):
         data = export(cells, format="csv").replace(b",heater,", b",boiler,", 1)
@@ -980,12 +989,21 @@ class TestReadCellsErrors:
         with pytest.raises(ValidationError, match="unknown export format 'yaml'"):
             read_cells(b"\xff", format="yaml")
 
-    def test_json_drops_efficiency_off_engine_rows(self, cells):
-        rows = json.loads(export(cells, format="json"))
-        for row in rows:
-            if row["mode"] != "heat_engine":
-                row["eta_over_carnot"] = 0.5
-        assert read_cells(json.dumps(rows).encode(), format="json") == cells
+    def test_json_efficiency_presence_rule(self, cells):
+        lines = export(cells, format="json").decode().split("\n")
+        engine = next(k for k, line in enumerate(lines) if '"heat_engine"' in line)
+        other = next(k for k, line in enumerate(lines) if '"refrigerator"' in line)
+        absent = list(lines)
+        absent[engine] = re.sub(r'("eta_over_carnot": )[^}]*', r"\1null", lines[engine])
+        assert refusal("\n".join(absent).encode(), "json") == (
+            f"malformed export row at line {engine + 1}: {absent[engine]!r}"
+        )
+        present = list(lines)
+        present[other] = lines[other].replace(": null}", ": 0.5}")
+        assert refusal("\n".join(present).encode(), "json") == (
+            "eta_over_carnot must be absent for mode 'refrigerator' in export row "
+            f"at line {other + 1}: {present[other]!r}"
+        )
 
     @pytest.mark.parametrize(
         "key, literal",
@@ -1007,38 +1025,56 @@ class TestReadCellsErrors:
             rb'"%s": [^,}]*' % key.encode(), b'"%s": %s' % (key.encode(), literal),
             export(cells, format="json"), count=1,
         )
-        with pytest.raises(ValidationError, match=f"bad {key} .* in export row"):
-            read_cells(data, format="json")
+        # A string in the efficiency of a row off engine is an efficiency
+        # that must be absent.
+        row = data.split(b"\n")[1].decode()
+        assert refusal(data, "json").endswith(f" export row at line 2: {row!r}")
 
     @pytest.mark.parametrize(
-        "key, literal, message",
+        "key, literal",
         [
-            ("coupling_ratio", b"NaN", "bad coupling_ratio 'NaN' in export row"),
-            ("temp_ratio", b"Infinity", "bad temp_ratio 'Infinity' in export row"),
-            ("work", b"-Infinity", "bad work '-Infinity' in export row"),
-            ("work", b"-1e400", "cannot hold work -inf at cell 0"),
-            ("q_out", b"1e999", "cannot hold q_out inf at cell 0"),
-            ("coupling_ratio", b"-1e400", "cannot hold coupling_ratio -inf at cell 0"),
+            ("coupling_ratio", b"NaN"),
+            ("temp_ratio", b"Infinity"),
+            ("work", b"-Infinity"),
+            ("work", b"-1e400"),
+            ("q_out", b"1e999"),
+            ("coupling_ratio", b"-1e400"),
         ],
         ids=["nan-ratio", "infinity", "minus-infinity", "minus-overflow", "overflow",
              "ratio-overflow"],
     )
-    # One space keeps the export's layout, two send it to json.loads.
+    # One space keeps the export's layout; two leave it, though json.loads
+    # still reads the text.
     @pytest.mark.parametrize("space", [b" ", b"  "], ids=["layout", "json-loads"])
-    def test_json_reads_refuse_what_json_exports_refuse(
-        self, cells, key, literal, message, space
-    ):
+    def test_json_reads_refuse_what_json_exports_refuse(self, cells, key, literal, space):
         data = re.sub(
             rb'"%s": [^,}]*' % key.encode(), b'"%s":%s%s' % (key.encode(), space, literal),
             export(cells, format="json"), count=1,
         )
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            read_cells(data, format="json")
-        assert_same_outcome(data)
+        row = data.split(b"\n")[1].decode()
+        assert refusal(data, "json") == f"malformed export row at line 2: {row!r}"
 
     def test_a_json_export_without_rows_is_rejected(self):
-        with pytest.raises(ValidationError, match="JSON export has no rows"):
-            read_cells(b"[]", format="json")
+        header = "JSON header does not match the export contract"
+        assert refusal(b"[]", "json") == header
+        assert refusal(b"[\n", "json") == "JSON export has no rows"
+        assert refusal(b"[\n]\n", "json") == "malformed export row at line 2: ']'"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_row_that_scans_alone_is_not_said_to_hold_an_efficiency(self, fmt):
+        # Off-engine rows that scan alone: the last CSV row without its
+        # newline, and a JSON row that lost its separating comma.
+        lines = export(sweep(edge_grid()), format=fmt).split(b"\n")
+        assert b"heat_engine" not in lines[-2] + lines[1]
+        if fmt == "csv":
+            lines.pop()
+            k = len(lines) - 1
+        else:
+            k = 1
+            lines[k] = lines[k].removesuffix(b",")
+        assert refusal(b"\n".join(lines), fmt) == (
+            f"malformed export row at line {k + 1}: {lines[k].decode()!r}"
+        )
 
     def test_a_csv_export_without_rows_is_rejected(self, cells):
         header = export(cells, format="csv").split(b"\n")[0]
@@ -1054,15 +1090,33 @@ def outcome(read):
         return str(exc)
 
 
-def assert_same_outcome(data):
-    """read_cells agrees with the json.loads reader called directly."""
-    ours = outcome(lambda: read_cells(data, format="json"))
-    theirs = outcome(lambda: phasemap._json_map(data.decode()))
-    assert type(ours) is type(theirs), (ours, theirs)
-    if isinstance(ours, str):
-        assert ours == theirs
-    else:
-        assert_same_columns(ours, theirs)
+def refusal(data, fmt):
+    """The text of the ValidationError that ``read_cells`` raises."""
+    with pytest.raises(ValidationError) as err:
+        read_cells(data, format=fmt)
+    return str(err.value)
+
+
+def json_loads_map(data):
+    """The map ``json.loads`` reads from a JSON export: the reference for
+    the layout scan.  Integers parse as floats, so ``-0`` keeps its sign."""
+    rows = json.loads(data, parse_int=float)
+    tokens = [mode.token for mode in OperationMode]
+    return ModeMap(
+        mode_code=np.array([tokens.index(row["mode"]) for row in rows]),
+        **{
+            name: np.array([row[name] for row in rows], dtype=float)
+            for name in COLUMNS if name != "mode_code"
+        },
+    )
+
+
+def first_changed_line(mutated, data):
+    """The line of ``mutated`` that holds its first byte unlike ``data``."""
+    at = next(
+        (k for k, (a, b) in enumerate(zip(mutated, data)) if a != b), len(mutated)
+    )
+    return mutated[:at].count(b"\n") + 1
 
 
 def first(pattern, replacement):
@@ -1070,8 +1124,8 @@ def first(pattern, replacement):
 
 
 class TestReadPaths:
-    """JSON exports off the layout go to json.loads, and agree with it;
-    CSV exports off the layout raise, naming the row."""
+    """Exports off the layout raise, naming the row, in both formats; what
+    the layout scan reads agrees with json.loads (JSON) or float() (CSV)."""
 
     MUTATIONS = {
         "swapped keys": first(
@@ -1101,6 +1155,7 @@ class TestReadPaths:
         "unknown mode token": first(rb'"heater"', b'"heatex"'),
         "renamed key": first(rb'"q_in": ', b'"q_ix": '),
         "NUL after a value": first(rb'"temp_ratio": 2,', b'"temp_ratio": 2\x00,'),
+        "missing separator": first(rb"(refrigerator[^\n]*),\n", rb"\g<1>\n"),
         "efficiency off an engine row": first(
             rb'("mode": "accelerator", [^}]*"eta_over_carnot": )null',
             rb"\g<1>0.5",
@@ -1113,19 +1168,48 @@ class TestReadPaths:
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_exports_read_like_json_loads(self, data, mutation):
+        """A mutated JSON export reads as json.loads reads it when it is
+        still export text (``2E0`` is an export number), and else raises
+        naming the line that holds the first changed byte: the header's
+        message for line 1, the ``]`` line for a change after it."""
         mutated = self.MUTATIONS[mutation](data)
         assert mutated != data
-        assert_same_outcome(mutated)
+        line = min(first_changed_line(mutated, data), data.count(b"\n"))
+        ours = outcome(lambda: read_cells(mutated, format="json"))
+        if not isinstance(ours, str):
+            assert_same_columns(ours, json_loads_map(mutated))
+        elif line == 1:
+            assert ours == "JSON header does not match the export contract"
+        else:
+            text = mutated.split(b"\n")[line - 1].decode()
+            assert f"export row at line {line}: {text!r}" in ours
+        assert isinstance(ours, str) == (mutation != "exponent form")
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(
-            st.from_regex(rb"-?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
-            st.text("0123456789.eE+-nul", min_size=1, max_size=12).map(str.encode),
+            st.from_regex(
+                rb"-?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+            ),
+            st.text("0123456789.eE+-nul ", max_size=12).map(str.encode),
+            st.sampled_from([b"null", b"-null", b"NaN", b"Infinity", b"-0", b"nan"]),
         )
     )
     def test_any_work_field_reads_like_json_loads(self, data, text):
-        assert_same_outcome(first(rb'"work": [^,]*', b'"work": ' + text)(data))
+        """A field is read exactly when it is a JSON number of at most 24
+        bytes that float() holds finitely, or null; then it has the bits
+        json.loads gives."""
+        mutated = first(rb'"work": [^,]*', b'"work": ' + text)(data)
+        number = re.fullmatch(rb"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?", text)
+        accepted = text == b"null" or bool(
+            number and len(text) <= 24 and math.isfinite(float(text))
+        )
+        ours = outcome(lambda: read_cells(mutated, format="json"))
+        if not accepted:
+            row = mutated.split(b"\n")[1].decode()
+            assert ours == f"malformed export row at line 2: {row!r}"
+            return
+        assert_same_columns(ours, json_loads_map(mutated))
 
     # Each CSV mutation changes one row of the export, or its final newline.
     CSV_MUTATIONS = {
@@ -1159,16 +1243,9 @@ class TestReadPaths:
     def test_mutated_csv_exports_name_the_row(self, csv_data, mutation):
         mutated = self.CSV_MUTATIONS[mutation](csv_data)
         assert mutated != csv_data
-        # The line that holds the first changed byte.
-        at = next(
-            (k for k, (a, b) in enumerate(zip(mutated, csv_data)) if a != b),
-            len(mutated),
-        )
-        line = mutated[:at].count(b"\n") + 1
+        line = first_changed_line(mutated, csv_data)
         text = mutated.split(b"\n")[line - 1].decode()
-        with pytest.raises(ValidationError) as err:
-            read_cells(mutated, format="csv")
-        assert f"export row at line {line}: {text!r}" in str(err.value)
+        assert f"export row at line {line}: {text!r}" in refusal(mutated, "csv")
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -12,7 +12,8 @@ that runs first is drawn at random for the first pair (from the seed, so
 a run can be repeated) and alternates after that.  An uncommitted tree
 can be compared by passing the commit that ``git stash create`` prints;
 the record names each side's ``src`` and ``perfbench`` tree ids, which
-match those of any later commit with the same code.
+match those of any later commit with the same code, and each side's
+``src_py_lines``, the newlines in its ``src/**/*.py`` files.
 
 The record goes to ``BENCH_<TAG>.json`` at the repository root: for
 each workload the end-to-end metrics of every pair, and per metric each
@@ -64,6 +65,12 @@ def trees(rev: str) -> dict:
         ).stdout.strip()
         for path in ("src", "perfbench")
     }
+
+
+def src_py_lines(tree: Path) -> int:
+    """Newlines in every ``src/**/*.py`` file of ``tree``, counted as
+    ``perfbench/package.py`` counts its ``src_py_lines``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -173,15 +180,16 @@ def main(argv=None) -> int:
     revs = {side: getattr(args, side) for side in SIDES}
     seconds = contract["run_seconds"]
     first = random.Random(args.seed).randrange(2)
-    record = {
-        "command": contract["command"],
-        "revisions": revs,
-        "trees": {side: trees(rev) for side, rev in revs.items()},
-        "seconds": seconds,
-        "workloads": {},
-    }
     with tempfile.TemporaryDirectory() as scratch:
         dirs = {side: checkout(rev, Path(scratch, side)) for side, rev in revs.items()}
+        record = {
+            "command": contract["command"],
+            "revisions": revs,
+            "trees": {side: trees(rev) for side, rev in revs.items()},
+            "src_py_lines": {side: src_py_lines(tree) for side, tree in dirs.items()},
+            "seconds": seconds,
+            "workloads": {},
+        }
         for workload in args.workload or workloads:
             pairs = []
             for k in range(args.pairs):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -357,6 +357,18 @@ class _Layout(NamedTuple):
     nan: bytes  # a NaN value
     absent: bytes  # an absent value
     tokens: list[bytes]  # mode tokens, indexed by mode code
+
+
+def _csv_layout(columns: Sequence[str], tokens: Iterable[str]) -> _Layout:
+    """The CSV layout of a table: a header line of the column names, one
+    comma-separated line per row, ``nan`` for NaN, an empty field for an
+    absent value, and the mode ``tokens`` as they are."""
+    return _Layout(
+        head=",".join(columns).encode() + b"\n",
+        row=b",".join([b"%s"] * len(columns)),
+        separator=b"\n", tail=b"\n", nan=b"nan", absent=b"",
+        tokens=[token.encode() for token in tokens],
+    )
 
 
 def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:

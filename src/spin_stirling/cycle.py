@@ -300,11 +300,54 @@ def _classify(work, q_in, q_out, tolerance, floor=0.0):
     return np.where(carnot, np.int8(_CARNOT), codes)
 
 
-def _read_only(column) -> np.ndarray:
-    """A read-only view of ``column``; the caller's array stays writable."""
-    view = np.asarray(column).view()
-    view.flags.writeable = False
-    return view
+def _mode_columns(columns: dict, code: str, eta: str, row: str, carnot=None) -> dict:
+    """``columns`` (name to column, in order) as read-only views, the
+    caller's arrays left writable, once they hold one evaluated cycle per
+    ``row``; else a :class:`ValidationError`.  Every column is flat and
+    shaped like the first; the mode codes under ``code`` index
+    ``tuple(OperationMode)`` (kept as int8, the rest as float); ``eta`` is
+    NaN exactly off heat-engine rows, and on them its ratio to the Carnot
+    bound, ``eta`` itself or ``eta`` over the column ``carnot``, lies in
+    (0, 1): the evaluator's own test."""
+    first = next(iter(columns))
+    shape = np.shape(columns[first])
+    checked = {}
+    for name, column in columns.items():
+        column = np.asarray(column)
+        if column.ndim != 1 or column.shape != shape:
+            raise ValidationError(
+                f"{name} must be a flat column shaped like {first} {shape}, "
+                f"got {column.shape}"
+            )
+        if name == code and not (
+            np.issubdtype(column.dtype, np.integer)
+            and np.all((column >= 0) & (column < len(_MODES)))
+        ):
+            raise ValidationError(f"{name} entries must index OperationMode")
+        column = column.astype(np.int8 if name == code else float, copy=False).view()
+        column.flags.writeable = False
+        checked[name] = column
+    engine = checked[code] == _ENGINE
+    values = ratio = checked[eta]
+    if carnot is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = values / checked[carnot]
+    bad = engine & ~((ratio > 0.0) & (ratio < 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        name = eta if carnot is None else f"{eta} / {carnot}"
+        raise ValidationError(
+            f"heat-engine {row}s require {name} in (0, 1), "
+            f"got {float(ratio[k])!r} at {row} {k}"
+        )
+    bad = ~engine & ~np.isnan(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"{eta} must be absent for mode {_MODES[checked[code][k]].token!r}, "
+            f"got {float(values[k])!r} at {row} {k}"
+        )
+    return checked
 
 
 class _Evaluation(NamedTuple):

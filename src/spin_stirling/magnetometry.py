@@ -25,7 +25,7 @@ import collections.abc
 import dataclasses
 import json
 import math
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -44,9 +44,9 @@ from .cycle import (
     StrokeLedger,
     _Evaluation,
     _evaluate_cycles,
-    _read_only,
+    _mode_columns,
 )
-from ._format import _Layout, _padded, _table, _texts, decoding
+from ._format import _csv_layout, _padded, _table, _texts, decoding
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -573,6 +573,9 @@ class EngineCurve(collections.abc.Sequence):
     ``eta_carnot`` is ``1.0 - t_cold / t_hot`` of each point bit for
     bit.  A curve equals another curve or a list when their point lists
     are equal.  The columns, those of ``cycles`` too, are read-only views.
+
+    Construction runs the column check of
+    :class:`~spin_stirling.phasemap.ModeMap`, on ``eta / eta_carnot``.
     """
 
     t_hot: np.ndarray
@@ -580,9 +583,12 @@ class EngineCurve(collections.abc.Sequence):
     eta_carnot: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_hot", _read_only(self.t_hot))
-        object.__setattr__(self, "cycles", _Evaluation(*map(_read_only, self.cycles)))
-        object.__setattr__(self, "eta_carnot", _read_only(self.eta_carnot))
+        columns = {"t_hot": self.t_hot, **_Evaluation(*self.cycles)._asdict()}
+        columns["eta_carnot"] = self.eta_carnot
+        checked = _mode_columns(columns, "code", "eta", "point", carnot="eta_carnot")
+        object.__setattr__(self, "t_hot", checked.pop("t_hot"))
+        object.__setattr__(self, "eta_carnot", checked.pop("eta_carnot"))
+        object.__setattr__(self, "cycles", _Evaluation(**checked))
 
     def __len__(self) -> int:
         return len(self.t_hot)
@@ -634,53 +640,28 @@ def engine_curve(
     return EngineCurve(t_hot, cycles, 1.0 - t_cold / t_hot)
 
 
-_CURVE = _Layout(
-    head=b"T_h_K,Q_AB_eV,Q_BC_eV,Q_CD_eV,Q_DA_eV,W_eV,eta,eta_carnot,mode\n",
-    row=b",".join([b"%s"] * 9),
-    separator=b"\n", tail=b"\n", nan=b"nan", absent=b"",
-    tokens=[mode.token.encode() for mode in _MODES],
+_CURVE = _csv_layout(
+    "T_h_K Q_AB_eV Q_BC_eV Q_CD_eV Q_DA_eV W_eV eta eta_carnot mode".split(),
+    [mode.token for mode in _MODES],
 )
 
 
-def _as_curve(points: Sequence[EngineCurvePoint]) -> tuple[EngineCurve, np.ndarray]:
-    """Check a curve for export and convert a plain point sequence to
-    columns, with the rows whose efficiency field is empty.
-
-    A curve's field is empty outside heat-engine operation.  A plain
-    point's is empty when its ``eta`` is None; any other NaN is written
-    as ``nan``.
-    """
-    if not points:
-        raise ValidationError("engine_curve_csv requires a non-empty curve")
-    if isinstance(points, EngineCurve):
-        return points, points.cycles.code != _ENGINE
-    t_hot, *ledger, eta, eta_carnot = np.array(
-        [
-            (
-                point.t_hot, point.ledger.q_ab, point.ledger.q_bc,
-                point.ledger.q_cd, point.ledger.q_da, point.ledger.work,
-                point.ledger.q_in, point.ledger.q_out,
-                math.nan if point.eta is None else point.eta, point.eta_carnot,
-            )
-            for point in points
-        ]
-    ).T
-    code = np.array([_MODES.index(point.mode) for point in points])
-    cycles = _Evaluation(*ledger, code=code, eta=eta)
-    eta_absent = np.array([point.eta is None for point in points])
-    return EngineCurve(t_hot, cycles, eta_carnot), eta_absent
-
-
-def engine_curve_csv(points: Sequence[EngineCurvePoint]) -> bytes:
-    """Serialize an engine curve with energies converted to eV.
+def engine_curve_csv(curve: EngineCurve) -> bytes:
+    """Serialize an :class:`EngineCurve` with energies converted to eV.
 
     Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
-    eta_carnot, mode.  Floats are written as ``%.17g`` by
-    :func:`spin_stirling._format._table`.  A missing efficiency (``eta``
-    None, as at every non-engine point) is an empty field.  An
-    :class:`EngineCurve` is written straight from its columns.
+    eta_carnot, mode.  Floats are written from the curve's columns as
+    ``%.17g`` by :func:`spin_stirling._format._table`.  The eta field is
+    empty exactly on the points outside heat-engine operation.  Anything
+    but a non-empty curve, a plain list of :class:`EngineCurvePoint`
+    included, raises :class:`ValidationError`.
     """
-    curve, eta_absent = _as_curve(points)
+    if not isinstance(curve, EngineCurve):
+        raise ValidationError(
+            f"engine_curve_csv requires an EngineCurve, got {type(curve).__name__}"
+        )
+    if not len(curve):
+        raise ValidationError("engine_curve_csv requires a non-empty curve")
     cycles = curve.cycles
     values = np.column_stack(
         (
@@ -693,9 +674,10 @@ def engine_curve_csv(points: Sequence[EngineCurvePoint]) -> bytes:
     tokens = _padded(_CURVE.tokens)
 
     def fields(start: int, stop: int) -> list[np.ndarray]:
+        codes = cycles.code[start:stop]
         texts = _texts(values[start:stop].ravel(), nan)
         texts = texts.reshape(stop - start, values.shape[1], -1)
-        texts[eta_absent[start:stop], 6] = absent
-        return [*texts.swapaxes(0, 1), tokens[cycles.code[start:stop]]]
+        texts[codes != _ENGINE, 6] = absent
+        return [*texts.swapaxes(0, 1), tokens[codes]]
 
     return b"".join(_table(_CURVE, len(values), fields))

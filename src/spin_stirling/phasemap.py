@@ -45,15 +45,15 @@ import dataclasses
 import enum
 import json
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
 from .core import Coupling
-from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate, _read_only
-from ._format import _BLOCK_ROWS, _Layout, _fields, _padded, _parse_17g, _scan
-from ._format import _table, _texts, decode, write
+from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate, _mode_columns
+from ._format import _BLOCK_ROWS, _Layout, _csv_layout, _fields, _padded
+from ._format import _parse_17g, _scan, _table, _texts, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -218,9 +218,9 @@ class ModeMap(collections.abc.Sequence):
     equals another map or a list when their cell lists are equal, so NaN
     energies compare unequal.  The columns are read-only views.
 
-    Construction checks the :class:`ModeCell` rule on whole columns:
-    ``eta_over_carnot`` lies in (0, 1) on every heat-engine cell and is
-    NaN on every other cell.
+    Construction checks flat columns of one length, mode codes that index
+    ``OperationMode`` and the :class:`ModeCell` rule: ``eta_over_carnot``
+    lies in (0, 1) on every heat-engine cell and is NaN on every other.
     """
 
     coupling_ratio: np.ndarray
@@ -232,39 +232,10 @@ class ModeMap(collections.abc.Sequence):
     eta_over_carnot: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.coupling_ratio)
-        for field in dataclasses.fields(self):
-            dtype = np.int8 if field.name == "mode_code" else float
-            column = np.asarray(getattr(self, field.name))
-            if column.ndim != 1 or column.shape != shape:
-                raise ValidationError(
-                    f"{field.name} must be a flat column shaped like "
-                    f"coupling_ratio {shape}, got {column.shape}"
-                )
-            if field.name == "mode_code" and not (
-                np.issubdtype(column.dtype, np.integer)
-                and np.all((column >= 0) & (column < len(_MODES)))
-            ):
-                raise ValidationError("mode_code entries must index OperationMode")
-            column = _read_only(column.astype(dtype, copy=False))
-            object.__setattr__(self, field.name, column)
-        engine = self.mode_code == _ENGINE
-        eta = self.eta_over_carnot
-        bad = engine & ~((eta > 0.0) & (eta < 1.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValidationError(
-                "heat-engine cells require eta_over_carnot in (0, 1), "
-                f"got {float(eta[k])!r} at cell {k}"
-            )
-        bad = ~engine & ~np.isnan(eta)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValidationError(
-                "eta_over_carnot must be absent for mode "
-                f"{_MODES[self.mode_code[k]].token!r}, got {float(eta[k])!r} "
-                f"at cell {k}"
-            )
+        columns = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        checked = _mode_columns(columns, "mode_code", "eta_over_carnot", "cell")
+        for name, column in checked.items():
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.mode_code)
@@ -412,12 +383,7 @@ def trace_zero_work_boundary(grid: SweepGrid, temp_ratio: float) -> list[float]:
 
 
 _LAYOUTS = {
-    "csv": _Layout(
-        head=",".join(_EXPORT_COLUMNS).encode() + b"\n",
-        row=b",".join([b"%s"] * len(_EXPORT_COLUMNS)),
-        separator=b"\n", tail=b"\n", nan=b"nan", absent=b"",
-        tokens=[mode.token.encode() for mode in _MODES],
-    ),
+    "csv": _csv_layout(_EXPORT_COLUMNS, [mode.token for mode in _MODES]),
     "json": _Layout(
         head=b"[\n",
         row=("{" + ", ".join(f'"{name}": %s' for name in _EXPORT_COLUMNS) + "}").encode(),
@@ -451,22 +417,14 @@ def _json_values(cells: ModeMap) -> ModeMap:
     return cells
 
 
-def _as_map(cells: Sequence[ModeCell], format: str) -> ModeMap:
-    """Check an export request and convert plain cell sequences to columns;
-    a JSON export refuses what :func:`_json_values` refuses."""
+def _as_map(cells: ModeMap, format: str) -> ModeMap:
+    """Check an export request: a non-empty :class:`ModeMap` and a known
+    format; a JSON export refuses what :func:`_json_values` refuses."""
+    if not isinstance(cells, ModeMap):
+        raise ValidationError(f"export requires a ModeMap, got {type(cells).__name__}")
     if not len(cells):
         raise ValidationError("export requires a non-empty cell list")
     _check_format(format)
-    if not isinstance(cells, ModeMap):
-        rows = [
-            (
-                cell.coupling_ratio, cell.temp_ratio, _MODES.index(cell.mode),
-                cell.work, cell.q_in, cell.q_out,
-                math.nan if cell.eta_over_carnot is None else cell.eta_over_carnot,
-            )
-            for cell in cells
-        ]
-        cells = ModeMap(*(np.array(column) for column in zip(*rows)))
     return _json_values(cells) if format == "json" else cells
 
 
@@ -511,26 +469,24 @@ def _text_blocks(cells: ModeMap, format: str) -> Iterator[bytes]:
     return _table(layout, len(cells), fields)
 
 
-def export(cells: Sequence[ModeCell], format: str = "csv") -> bytes:
-    """Serialize cells to CSV or JSON bytes.
+def export(cells: ModeMap, format: str = "csv") -> bytes:
+    """Serialize a :class:`ModeMap` to CSV or JSON bytes.
 
-    ``cells`` is a :class:`ModeMap` or any sequence of :class:`ModeCell`;
-    a plain sequence is converted to columns first.  Column order is
-    fixed (coupling_ratio, temp_ratio, mode, work, q_in, q_out,
-    eta_over_carnot); floats carry 17 significant digits so a parse
-    reproduces the doubles bit-exactly; the mode is its lowercase token.
-    An absent efficiency ratio is an empty CSV field or a JSON null; NaN
-    energies of flagged cells become JSON nulls because JSON has no NaN
-    literal.  A JSON export of an infinity, or of a NaN ratio, raises
-    :class:`ValidationError` naming the cell and the column; CSV writes
-    them as ``inf`` and ``nan``.
+    Column order is fixed (coupling_ratio, temp_ratio, mode, work, q_in,
+    q_out, eta_over_carnot); floats carry 17 significant digits so a
+    parse reproduces the doubles bit-exactly; the mode is its lowercase
+    token.  An absent efficiency ratio is an empty CSV field or a JSON
+    null; NaN energies of flagged cells become JSON nulls because JSON
+    has no NaN literal.  A JSON export of an infinity, or of a NaN ratio,
+    raises :class:`ValidationError` naming the cell and the column; CSV
+    writes them as ``inf`` and ``nan``.  Anything but a non-empty map,
+    a plain list of :class:`ModeCell` included, raises
+    :class:`ValidationError`, as does an unknown format.
     """
     return b"".join(_text_blocks(_as_map(cells, format), format))
 
 
-def export_to_path(
-    cells: Sequence[ModeCell], path: str, format: str = "csv"
-) -> None:
+def export_to_path(cells: ModeMap, path: str, format: str = "csv") -> None:
     """Write :func:`export`'s bytes to ``path``.
 
     Rows are formatted and written a block at a time, so the text held
@@ -631,7 +587,9 @@ def _error(data: bytes, format: str) -> ValidationError:
             good = mid
     row = lines[bad].removesuffix(last)
     absent = None
-    if scans(row) is None:
+    if last and data[ends[bad - 1] - 1 - len(last) :] == last + layout.tail:
+        bad -= 1  # the last row holds a separator in front of the tail
+    elif scans(row) is None:
         # A row that scans with an absent efficiency holds one off engine.
         *_, before, after = layout.row.split(b"%s")  # around the efficiency
         k = row.rfind(before)

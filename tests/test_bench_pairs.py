@@ -124,3 +124,14 @@ class TestBound:
         assert not overlapping["resolved"]
         assert verdict([134.0 + k for k in range(10)], parents=parents)["resolved"]
         assert not verdict([133.0] + [140.0] * 9, parents=parents)["resolved"]
+
+
+def test_src_py_lines_counts_the_newlines_of_python_files_under_src(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_bytes(b"x = 1\ny = 2\n")
+    (package / "sub" / "b.py").write_bytes(b"z = 3\n\nw = 4")
+    (package / "data.csv").write_bytes(b"1\n2\n3\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "c.py").write_bytes(b"\n" * 5)
+    assert bench_pairs.src_py_lines(tmp_path) == 4

@@ -1,7 +1,6 @@
 """Tests for susceptibility ingestion, Bleaney-Bowers fitting, and the
 pressure-axis helpers built on top of the fit."""
 
-import dataclasses
 import io
 import json
 import math
@@ -58,6 +57,15 @@ def reference_curve_csv(points):
         fields += [b"%.17g" % point.eta_carnot, point.mode.token.encode()]
         lines.append(b",".join(fields))
     return b"\n".join(lines) + b"\n"
+
+
+def rebuilt(curve, eta_carnot=None, **cycles):
+    """``curve`` built again from its columns, with some of them replaced."""
+    return EngineCurve(
+        curve.t_hot,
+        curve.cycles._replace(**cycles),
+        curve.eta_carnot if eta_carnot is None else eta_carnot,
+    )
 
 
 def synthetic_csv(j, g, temps=None, header="T_K,chi_emu_mol", extra_lines=()):
@@ -519,19 +527,64 @@ class TestEngineCurve:
         assert abs(float(first[1])) < 1e-3
 
     def test_csv_blanks_exactly_the_missing_efficiencies(self):
-        (engine,) = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [26.0])
-        (fridge,) = engine_curve(Coupling(-16.0), Coupling(-32.0), 20.0, [26.0])
-        points = [
-            engine,
-            dataclasses.replace(engine, eta=None),
-            fridge,
-            dataclasses.replace(fridge, eta=math.nan),
+        engine = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, [26.0])
+        fridge = engine_curve(Coupling(-16.0), Coupling(-32.0), 20.0, [26.0])
+        for curve in (engine, fridge, self.mixed_curve()):
+            lines = engine_curve_csv(curve).decode().splitlines()[1:]
+            rows = [line.split(",") for line in lines]
+            assert [row[6] for row in rows] == [
+                "%.17g" % point.eta if point.mode is OperationMode.HEAT_ENGINE else ""
+                for point in curve
+            ]
+            assert [row[8] for row in rows] == [point.mode.token for point in curve]
+        assert [point.mode for point in (*engine, *fridge)] == [
+            OperationMode.HEAT_ENGINE, OperationMode.REFRIGERATOR
         ]
-        rows = [line.split(",") for line in engine_curve_csv(points).decode().splitlines()]
-        assert [row[6] for row in rows[1:]] == ["%.17g" % engine.eta, "", "", "nan"]
-        assert [row[8] for row in rows[1:]] == [
-            "heat_engine", "heat_engine", "refrigerator", "refrigerator"
-        ]
+        # The points that once wrote "" and "nan" are no curve: a heat
+        # engine without an efficiency, a refrigerator with one.
+        with pytest.raises(ValidationError, match="heat-engine points require"):
+            rebuilt(engine, eta=np.array([math.nan]))
+        with pytest.raises(ValidationError, match="absent for mode 'refrigerator'"):
+            rebuilt(fridge, eta=engine.cycles.eta)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                lambda c: {"work": c.cycles.work[:-1]},
+                "work must be a flat column shaped like t_hot (6,), got (5,)",
+            ),
+            (
+                lambda c: {"eta_carnot": c.eta_carnot[:, np.newaxis]},
+                "eta_carnot must be a flat column shaped like t_hot (6,), got (6, 1)",
+            ),
+            (
+                lambda c: {"code": np.full(6, 9, np.int8)},
+                "code entries must index OperationMode",
+            ),
+            (
+                lambda c: {"eta": np.full(6, math.nan)},
+                "heat-engine points require eta / eta_carnot in (0, 1), "
+                "got nan at point 0",
+            ),
+            (
+                lambda c: {"eta": np.where(np.arange(6) == 0, c.eta_carnot, math.nan)},
+                "heat-engine points require eta / eta_carnot in (0, 1), "
+                "got 1.0 at point 0",
+            ),
+            (
+                lambda c: {"eta": np.where(np.arange(6) == 2, 0.5, c.cycles.eta)},
+                "eta must be absent for mode 'accelerator', got 0.5 at point 2",
+            ),
+        ],
+        ids=["ragged", "2-D", "mode code 9", "engine without eta", "eta at Carnot",
+             "eta off engine"],
+    )
+    def test_columns_that_are_no_curve_are_refused(self, changes, message):
+        curve = self.mixed_curve()
+        with pytest.raises(ValidationError) as err:
+            rebuilt(curve, **changes(curve))
+        assert str(err.value) == message
 
     # Small-mix's curve requests: couplings in +-200 K, a cold bath of
     # 5 to 50 K and up to 330 points from just above it.
@@ -552,8 +605,7 @@ class TestEngineCurve:
         j_a, j_b = Coupling(j_a), Coupling(j_b)
         axis = np.linspace(t_cold * start, t_cold * start + span, steps).tolist()
         curve = engine_curve(j_a, j_b, t_cold, axis)
-        expected = reference_curve_csv(curve)
-        assert engine_curve_csv(list(curve)) == expected
+        expected = reference_curve_csv(list(curve))
         for block_rows in (1, 7, _format._BLOCK_ROWS):
             for cpus in (1, 2):
                 with pytest.MonkeyPatch.context() as patch:
@@ -617,8 +669,12 @@ class TestEngineCurve:
 
     def test_curve_writes_the_bytes_of_its_points(self):
         curve = self.mixed_curve()
-        assert engine_curve_csv(curve) == engine_curve_csv(list(curve))
-        assert engine_curve_csv(curve[1:3]) == engine_curve_csv(list(curve)[1:3])
+        assert engine_curve_csv(curve) == reference_curve_csv(list(curve))
+        assert engine_curve_csv(curve[1:3]) == reference_curve_csv(list(curve)[1:3])
+
+    def test_csv_refuses_point_lists(self):
+        with pytest.raises(ValidationError, match="requires an EngineCurve, got list"):
+            engine_curve_csv(list(self.mixed_curve()))
 
     def test_csv_rejects_empty_curves(self):
         with pytest.raises(ValidationError):

@@ -604,9 +604,10 @@ class TestSerialization:
         data = export(cells, format="csv")
         assert len(data.splitlines()) == 2
 
-    def test_rejects_empty_cell_list(self):
-        with pytest.raises(ValidationError):
-            export([], format="csv")
+    def test_rejects_empty_cell_list(self, cells):
+        for empty in ([], cells[:0]):
+            with pytest.raises(ValidationError):
+                export(empty, format="csv")
 
     def test_rejects_unknown_format(self, cells):
         for fmt in ("yaml", ["csv"]):
@@ -747,9 +748,14 @@ class TestExportBytes:
         assert any(cell.temp_ratio == 1.0 + 1e-13 for cell in cells)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_plain_cell_lists_export_like_maps(self, fmt):
-        cells = sweep(edge_grid())
-        assert export(list(cells), format=fmt) == export(cells, format=fmt)
+    def test_plain_cell_lists_are_refused(self, fmt, tmp_path):
+        cells = list(sweep(edge_grid()))
+        with pytest.raises(ValidationError, match="requires a ModeMap, got list"):
+            export(cells, format=fmt)
+        target = tmp_path / f"map.{fmt}"
+        with pytest.raises(ValidationError, match="requires a ModeMap, got list"):
+            export_to_path(cells, str(target), format=fmt)
+        assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("block_rows", [1, 7])
@@ -1156,6 +1162,7 @@ class TestReadPaths:
         "renamed key": first(rb'"q_in": ', b'"q_ix": '),
         "NUL after a value": first(rb'"temp_ratio": 2,', b'"temp_ratio": 2\x00,'),
         "missing separator": first(rb"(refrigerator[^\n]*),\n", rb"\g<1>\n"),
+        "trailing comma": lambda data: data.replace(b"}\n]", b"},\n]"),
         "efficiency off an engine row": first(
             rb'("mode": "accelerator", [^}]*"eta_over_carnot": )null',
             rb"\g<1>0.5",

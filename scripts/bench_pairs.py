@@ -27,6 +27,11 @@ quartiles.  Each metric also carries its ``bound`` from
 (``resolved``).  Per workload it also records each side's share of failed
 ops and whether all its runs were correct; a gain never counts when a
 run on either side was incorrect or the change failed a larger share.
+
+A run that exits non-zero ends the comparison: the record keeps the
+pairs completed so far (a workload cut short holds only its ``pairs``)
+and names the run in ``failed_run`` with its workload, seed, side, exit
+code and the last lines of its stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -44,6 +49,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 #: The fewest pairs on which the claim rule can hold.
 CLAIM_PAIRS = 10
+#: The lines of a failed run's stderr that the record keeps.
+STDERR_TAIL_LINES = 20
+
+
+class RunFailed(Exception):
+    """A benchmark run exited non-zero."""
+
+    def __init__(self, exit_code: int, stderr: str) -> None:
+        super().__init__(f"benchmark run exited {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr.splitlines()[-STDERR_TAIL_LINES:]
 
 
 def checkout(rev: str, target: Path) -> Path:
@@ -81,7 +97,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     ]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} in {tree} failed:\n{done.stderr}")
+        raise RunFailed(done.returncode, done.stderr)
     result = json.loads(done.stdout.splitlines()[-1])
     return {
         "correct": result["correct"],
@@ -190,25 +206,33 @@ def main(argv=None) -> int:
             "seconds": seconds,
             "workloads": {},
         }
-        for workload in args.workload or workloads:
-            pairs = []
-            for k in range(args.pairs):
-                seed = args.seed + k
-                order = SIDES if (first + k) % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(dirs[side], workload, seed, seconds)
-                    print(workload, seed, side, json.dumps(pair[side]), flush=True)
-                pairs.append(pair)
-            record["workloads"][workload] = {
-                "failures": failures(pairs),
-                "metrics": compare(pairs, contract["end_to_end"]),
-                "pairs": pairs,
+        try:
+            for workload in args.workload or workloads:
+                pairs = []
+                record["workloads"][workload] = {"pairs": pairs}
+                for k in range(args.pairs):
+                    seed = args.seed + k
+                    order = SIDES if (first + k) % 2 == 0 else SIDES[::-1]
+                    pair = {"seed": seed, "first": order[0]}
+                    for side in order:
+                        pair[side] = run(dirs[side], workload, seed, seconds)
+                        print(workload, seed, side, json.dumps(pair[side]), flush=True)
+                    pairs.append(pair)
+                record["workloads"][workload] = {
+                    "failures": failures(pairs),
+                    "metrics": compare(pairs, contract["end_to_end"]),
+                    "pairs": pairs,
+                }
+        except RunFailed as failed:
+            record["failed_run"] = {
+                "workload": workload, "seed": seed, "side": side,
+                "exit_code": failed.exit_code, "stderr_tail": failed.stderr_tail,
             }
+            print(f"{workload} seed {seed} {side}: {failed}", file=sys.stderr)
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    return 0
+    return 1 if "failed_run" in record else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ export numbers back into the doubles that ``float()`` gives.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -305,8 +304,8 @@ def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
     return text
 
 
-#: Rows per block of :func:`_table`, and of the cells a mode map builds
-#: at once.  A table holds two blocks at once, one per thread, so its
+#: Rows per block of :func:`_table`, and of the records a mode map or an
+#: engine curve builds at once.  A table holds two blocks at once, one per thread, so its
 #: memory is bounded by two blocks' matrices and temporaries.  With
 #: smaller blocks the Python-level numpy calls of each block hold the
 #: interpreter lock for too much of the time for the two to overlap.
@@ -314,12 +313,6 @@ def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
 #: read-back slower, with its peak RSS 10.6% up against 6% at 4096, so
 #: 4096 is the largest size that keeps both peak RSS rises within 10%.
 _BLOCK_ROWS = 4096
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _both(first: Callable, second: Callable) -> tuple:
@@ -382,14 +375,11 @@ def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
     zeroed, so the tail follows it, and dropping the NUL bytes turns the
     matrix into the block's text in one step.
 
-    With more than one block and more than one CPU, blocks are built in
-    pairs: a helper thread builds the second block of each pair while
-    this thread builds the first (numpy releases the interpreter lock
-    for most of the work), so ``fields`` runs on two threads at once.
-    No helper is left running between the blocks this yields.  On one
-    CPU pairs only add thread switches: pinned to one CPU of a 2-vCPU VM,
-    a 400x400 CSV export took 284.7 ms (IQR 258.7-292.9) in pairs and
-    265.1 ms (IQR 254.2-271.8) serially, medians of 40 alternating runs.
+    With more than one block, blocks are built in pairs: a helper
+    thread builds the second block of each pair while this thread builds
+    the first (numpy releases the interpreter lock for most of the
+    work), so ``fields`` runs on two threads at once.  No helper is left
+    running between the blocks this yields.
     """
     *pieces, last = layout.row.split(b"%s")
     template = bytearray()
@@ -400,7 +390,7 @@ def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
         template += bytes(_TEXT_WIDTH)
     end = len(template) + len(last)
     template += last + layout.separator
-    paired = rows > _BLOCK_ROWS and _cpus() > 1
+    paired = rows > _BLOCK_ROWS
     template = np.frombuffer(template, np.uint8)
     matrices = [np.tile(template, (min(_BLOCK_ROWS, rows), 1)) for _ in range(1 + paired)]
 

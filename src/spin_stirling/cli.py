@@ -352,7 +352,7 @@ def _cmd_engine_curve(resolved: dict[str, Any]) -> int:
     write(resolved["out"], [engine_curve_csv(curve)], "engine curve")
 
     _echo(resolved)
-    engine_points = np.count_nonzero(curve.cycles.code == _ENGINE)
+    engine_points = np.count_nonzero(curve.code == _ENGINE)
     print(f"points {len(curve)} heat_engine {engine_points}")
     print(f"wrote {resolved['out']}")
     return EXIT_OK

@@ -26,10 +26,13 @@ unresolved roundoff and is classified as an accelerator.
 
 Single cycles, engine curves and mode maps all go through one batched
 evaluator, :func:`_evaluate`, so they share these checks and rules.
+Engine curves and mode maps hold its results on one columnar base,
+:class:`_Columnar`: one column check, index, iteration and equality.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import enum
 import math
@@ -39,6 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._format import _BLOCK_ROWS
 from .core import Coupling, ThermalPoint
 from .errors import CurieRegimeWarning, InvariantViolation, ModeError, ValidationError
 
@@ -300,54 +304,128 @@ def _classify(work, q_in, q_out, tolerance, floor=0.0):
     return np.where(carnot, np.int8(_CARNOT), codes)
 
 
-def _mode_columns(columns: dict, code: str, eta: str, row: str, carnot=None) -> dict:
-    """``columns`` (name to column, in order) as read-only views, the
-    caller's arrays left writable, once they hold one evaluated cycle per
-    ``row``; else a :class:`ValidationError`.  Every column is flat and
-    shaped like the first; the mode codes under ``code`` index
-    ``tuple(OperationMode)`` (kept as int8, the rest as float); ``eta`` is
-    NaN exactly off heat-engine rows, and on them its ratio to the Carnot
-    bound, ``eta`` itself or ``eta`` over the column ``carnot``, lies in
-    (0, 1): the evaluator's own test."""
-    first = next(iter(columns))
-    shape = np.shape(columns[first])
-    checked = {}
-    for name, column in columns.items():
-        column = np.asarray(column)
-        if column.ndim != 1 or column.shape != shape:
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Columnar(collections.abc.Sequence):
+    """Evaluated cycles as flat numpy columns, one entry per row: the base
+    of :class:`~spin_stirling.phasemap.ModeMap` and
+    :class:`~spin_stirling.magnetometry.EngineCurve`.
+
+    A subclass declares its columns as fields and names those the check
+    reads: the mode codes ``_code``, the efficiency ``_eta`` and the
+    Carnot bound ``_carnot`` that divides it (None when ``_eta`` is
+    relative already); ``_row`` names a row in errors.  Its ``_record``
+    builds a row's record from its values in field order, the mode code
+    read as an :class:`OperationMode` and the efficiency None off
+    heat-engine rows.
+
+    Construction holds the columns as read-only views, the caller's
+    arrays left writable, once every column is flat and shaped like the
+    first, the mode codes index ``tuple(OperationMode)`` (kept as int8,
+    the rest as float) and the efficiency is NaN exactly off heat-engine
+    rows, with its ratio to the Carnot bound in (0, 1) on them: the
+    evaluator's own test.  Else it raises :class:`ValidationError`.
+
+    An integer index builds one record from the columns' scalars, a
+    slice is an instance over views, and iteration builds records a
+    block at a time.  An instance equals one of its type with equal
+    columns, the efficiency on heat-engine rows only, so NaN energies
+    compare unequal; and a list equal to its records.
+    """
+
+    _carnot = None
+
+    def __post_init__(self) -> None:
+        names = [field.name for field in dataclasses.fields(self)]
+        first = names[0]
+        shape = np.shape(getattr(self, first))
+        columns = []
+        for name in names:
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1 or column.shape != shape:
+                raise ValidationError(
+                    f"{name} must be a flat column shaped like {first} {shape}, "
+                    f"got {column.shape}"
+                )
+            is_code = name == self._code
+            if is_code and not (
+                np.issubdtype(column.dtype, np.integer)
+                and np.all((column >= 0) & (column < len(_MODES)))
+            ):
+                raise ValidationError(f"{name} entries must index OperationMode")
+            column = column.astype(np.int8 if is_code else float, copy=False).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            columns.append(column)
+        object.__setattr__(self, "_columns", tuple(columns))
+        # Where a row's values hold its mode code and its efficiency.
+        at = names.index(self._code), names.index(self._eta)
+        object.__setattr__(self, "_at", at)
+        engine = getattr(self, self._code) == _ENGINE
+        values = ratio = getattr(self, self._eta)
+        name = self._eta
+        if self._carnot is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = values / getattr(self, self._carnot)
+            name = f"{self._eta} / {self._carnot}"
+        bad = engine & ~((ratio > 0.0) & (ratio < 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
             raise ValidationError(
-                f"{name} must be a flat column shaped like {first} {shape}, "
-                f"got {column.shape}"
+                f"heat-engine {self._row}s require {name} in (0, 1), "
+                f"got {float(ratio[k])!r} at {self._row} {k}"
             )
-        if name == code and not (
-            np.issubdtype(column.dtype, np.integer)
-            and np.all((column >= 0) & (column < len(_MODES)))
-        ):
-            raise ValidationError(f"{name} entries must index OperationMode")
-        column = column.astype(np.int8 if name == code else float, copy=False).view()
-        column.flags.writeable = False
-        checked[name] = column
-    engine = checked[code] == _ENGINE
-    values = ratio = checked[eta]
-    if carnot is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = values / checked[carnot]
-    bad = engine & ~((ratio > 0.0) & (ratio < 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        name = eta if carnot is None else f"{eta} / {carnot}"
-        raise ValidationError(
-            f"heat-engine {row}s require {name} in (0, 1), "
-            f"got {float(ratio[k])!r} at {row} {k}"
+        bad = ~engine & ~np.isnan(values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            mode = _MODES[getattr(self, self._code)[k]].token
+            raise ValidationError(
+                f"{self._eta} must be absent for mode {mode!r}, "
+                f"got {float(values[k])!r} at {self._row} {k}"
+            )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int | slice):
+        columns = self._columns
+        if isinstance(index, slice):
+            return type(self)(*(column[index] for column in columns))
+        k = range(len(columns[0]))[index]
+        values = [column.item(k) for column in columns]
+        code, eta = self._at
+        if values[code] != _ENGINE:
+            values[eta] = None
+        values[code] = _MODES[values[code]]
+        return self._record(*values)
+
+    def __iter__(self) -> Iterator:
+        code, eta = self._at
+        for start in range(0, len(self), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            values = [column[start:stop].tolist() for column in self._columns]
+            codes = values[code]
+            values[eta] = [
+                e if c == _ENGINE else None for c, e in zip(codes, values[eta])
+            ]
+            values[code] = [_MODES[c] for c in codes]
+            yield from map(self._record, *values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        # The efficiency counts only on engine rows, as in the records.
+        engine = getattr(self, self._code) == _ENGINE
+        eta = self._at[1]
+        return all(
+            np.array_equal(mine[engine], theirs[engine])
+            if k == eta
+            else np.array_equal(mine, theirs)
+            for k, (mine, theirs) in enumerate(zip(self._columns, other._columns))
         )
-    bad = ~engine & ~np.isnan(values)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(
-            f"{eta} must be absent for mode {_MODES[checked[code][k]].token!r}, "
-            f"got {float(values[k])!r} at {row} {k}"
-        )
-    return checked
 
 
 class _Evaluation(NamedTuple):

@@ -21,11 +21,10 @@ outputs feed acceptance tests and published-figure reproductions.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import json
 import math
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -42,9 +41,8 @@ from .cycle import (
     CycleSpec,
     OperationMode,
     StrokeLedger,
-    _Evaluation,
+    _Columnar,
     _evaluate_cycles,
-    _mode_columns,
 )
 from ._format import _csv_layout, _padded, _table, _texts, decoding
 from .errors import DataFormatError, ValidationError
@@ -561,59 +559,38 @@ def coupling_from_angle(angle: BridgingAngle) -> Coupling:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class EngineCurve(collections.abc.Sequence):
-    """An evaluated engine curve as the evaluator's columns, one entry
-    per hot-bath temperature.
+class EngineCurve(_Columnar):
+    """An evaluated engine curve as flat numpy columns, one entry per
+    hot-bath temperature.
 
-    A curve is a read-only sequence of :class:`EngineCurvePoint`:
-    ``len``, integer indexing and iteration build points on demand, and
-    a slice is a curve over the same columns.  ``cycles`` holds the
-    ledger columns, the mode codes (indexing ``tuple(OperationMode)``)
-    and the efficiency, NaN outside heat-engine operation;
-    ``eta_carnot`` is ``1.0 - t_cold / t_hot`` of each point bit for
-    bit.  A curve equals another curve or a list when their point lists
-    are equal.  The columns, those of ``cycles`` too, are read-only views.
-
-    Construction runs the column check of
-    :class:`~spin_stirling.phasemap.ModeMap`, on ``eta / eta_carnot``.
+    A read-only sequence of :class:`EngineCurvePoint` on the columnar base
+    of :class:`~spin_stirling.phasemap.ModeMap`: the hot bath, the
+    ledger's seven columns, the mode codes, the efficiency ``eta`` (NaN
+    outside heat-engine operation, ``eta / eta_carnot`` in (0, 1) inside
+    it) and ``eta_carnot``, ``1.0 - t_cold / t_hot`` of each point bit
+    for bit.  A curve equals another curve or a list when their point
+    lists are equal.  The columns are read-only views.
     """
 
     t_hot: np.ndarray
-    cycles: _Evaluation
+    q_ab: np.ndarray
+    q_bc: np.ndarray
+    q_cd: np.ndarray
+    q_da: np.ndarray
+    work: np.ndarray
+    q_in: np.ndarray
+    q_out: np.ndarray
+    code: np.ndarray
+    eta: np.ndarray
     eta_carnot: np.ndarray
 
-    def __post_init__(self) -> None:
-        columns = {"t_hot": self.t_hot, **_Evaluation(*self.cycles)._asdict()}
-        columns["eta_carnot"] = self.eta_carnot
-        checked = _mode_columns(columns, "code", "eta", "point", carnot="eta_carnot")
-        object.__setattr__(self, "t_hot", checked.pop("t_hot"))
-        object.__setattr__(self, "eta_carnot", checked.pop("eta_carnot"))
-        object.__setattr__(self, "cycles", _Evaluation(**checked))
+    _code, _eta, _row, _carnot = "code", "eta", "point", "eta_carnot"
 
-    def __len__(self) -> int:
-        return len(self.t_hot)
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return EngineCurve(
-                self.t_hot[index],
-                _Evaluation(*(column[index] for column in self.cycles)),
-                self.eta_carnot[index],
-            )
-        k = range(len(self))[index]
-        (point,) = self[k : k + 1]
-        return point
-
-    def __iter__(self) -> Iterator[EngineCurvePoint]:
-        for t_hot, (ledger, mode, eta), eta_carnot in zip(
-            self.t_hot.tolist(), self.cycles.rows(), self.eta_carnot.tolist()
-        ):
-            yield EngineCurvePoint(t_hot, ledger, mode, eta, eta_carnot)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (EngineCurve, list)):
-            return NotImplemented
-        return list(self) == list(other)
+    @staticmethod
+    def _record(t_hot, *values) -> EngineCurvePoint:
+        # The ledger's fields come first, in StrokeLedger's order.
+        *ledger, mode, eta, eta_carnot = values
+        return EngineCurvePoint(t_hot, StrokeLedger(*ledger), mode, eta, eta_carnot)
 
 
 def engine_curve(
@@ -637,7 +614,7 @@ def engine_curve(
     CycleSpec.check_t_hot_axis(j_a, j_b, axis, t_cold)
     t_hot = np.array(axis)
     cycles = _evaluate_cycles(j_a, j_b, t_hot, t_cold)
-    return EngineCurve(t_hot, cycles, 1.0 - t_cold / t_hot)
+    return EngineCurve(t_hot, *cycles, 1.0 - t_cold / t_hot)
 
 
 _CURVE = _csv_layout(
@@ -662,11 +639,10 @@ def engine_curve_csv(curve: EngineCurve) -> bytes:
         )
     if not len(curve):
         raise ValidationError("engine_curve_csv requires a non-empty curve")
-    cycles = curve.cycles
     values = np.column_stack(
         (
-            curve.t_hot, cycles.q_ab, cycles.q_bc, cycles.q_cd, cycles.q_da,
-            cycles.work, cycles.eta, curve.eta_carnot,
+            curve.t_hot, curve.q_ab, curve.q_bc, curve.q_cd, curve.q_da,
+            curve.work, curve.eta, curve.eta_carnot,
         )
     )
     values[:, 1:6] *= KB_EV_PER_K
@@ -674,7 +650,7 @@ def engine_curve_csv(curve: EngineCurve) -> bytes:
     tokens = _padded(_CURVE.tokens)
 
     def fields(start: int, stop: int) -> list[np.ndarray]:
-        codes = cycles.code[start:stop]
+        codes = curve.code[start:stop]
         texts = _texts(values[start:stop].ravel(), nan)
         texts = texts.reshape(stop - start, values.shape[1], -1)
         texts[codes != _ENGINE, 6] = absent

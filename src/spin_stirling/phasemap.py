@@ -40,7 +40,6 @@ off heat-engine rows.  Bytes that are not export text raise
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import enum
 import json
@@ -51,8 +50,8 @@ import numpy as np
 
 from . import _kernels
 from .core import Coupling
-from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _evaluate, _mode_columns
-from ._format import _BLOCK_ROWS, _Layout, _csv_layout, _fields, _padded
+from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _Columnar, _evaluate
+from ._format import _Layout, _csv_layout, _fields, _padded
 from ._format import _parse_17g, _scan, _table, _texts, decode, write
 from .errors import ValidationError
 
@@ -207,20 +206,16 @@ _EXPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(ModeCell))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class ModeMap(collections.abc.Sequence):
+class ModeMap(_Columnar):
     """Evaluated grid cells as flat numpy columns, one entry per cell.
 
-    A map is a read-only sequence of :class:`ModeCell`: ``len``, integer
-    indexing and iteration build cells on demand (so every cell a caller
-    sees passes :class:`ModeCell` validation), and a slice is a map over
-    the same columns.  ``mode_code`` indexes ``tuple(OperationMode)``;
-    ``eta_over_carnot`` is NaN wherever a cell has no efficiency.  A map
-    equals another map or a list when their cell lists are equal, so NaN
-    energies compare unequal.  The columns are read-only views.
-
-    Construction checks flat columns of one length, mode codes that index
-    ``OperationMode`` and the :class:`ModeCell` rule: ``eta_over_carnot``
-    lies in (0, 1) on every heat-engine cell and is NaN on every other.
+    A read-only sequence of :class:`ModeCell` on the package's columnar
+    base: cells are built on demand, each passing :class:`ModeCell`
+    validation.  ``mode_code`` indexes ``tuple(OperationMode)``, and
+    ``eta_over_carnot`` lies in (0, 1) on every heat-engine cell and is
+    NaN on every other.  A map equals another map or a list when their
+    cell lists are equal, so NaN energies compare unequal.  The columns
+    are read-only views.
     """
 
     coupling_ratio: np.ndarray
@@ -231,59 +226,9 @@ class ModeMap(collections.abc.Sequence):
     q_out: np.ndarray
     eta_over_carnot: np.ndarray
 
-    def __post_init__(self) -> None:
-        columns = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        checked = _mode_columns(columns, "mode_code", "eta_over_carnot", "cell")
-        for name, column in checked.items():
-            object.__setattr__(self, name, column)
+    _code, _eta, _row = "mode_code", "eta_over_carnot", "cell"
 
-    def __len__(self) -> int:
-        return len(self.mode_code)
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return ModeMap(*(column[index] for column in self._columns()))
-        k = range(len(self))[index]
-        code = int(self.mode_code[k])
-        return ModeCell(
-            coupling_ratio=float(self.coupling_ratio[k]),
-            temp_ratio=float(self.temp_ratio[k]),
-            mode=_MODES[code],
-            work=float(self.work[k]),
-            q_in=float(self.q_in[k]),
-            q_out=float(self.q_out[k]),
-            eta_over_carnot=(
-                float(self.eta_over_carnot[k]) if code == _ENGINE else None
-            ),
-        )
-
-    def __iter__(self) -> Iterator[ModeCell]:
-        for start in range(0, len(self), _BLOCK_ROWS):
-            block = (c[start : start + _BLOCK_ROWS].tolist() for c in self._columns())
-            for ratio, temp_ratio, code, work, q_in, q_out, eta in zip(*block):
-                yield ModeCell(
-                    ratio, temp_ratio, _MODES[code], work, q_in, q_out,
-                    eta if code == _ENGINE else None,
-                )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, list):
-            return list(self) == other
-        if not isinstance(other, ModeMap):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        # The efficiency column counts only on engine cells, as in ModeCell.
-        engine = self.mode_code == _ENGINE
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(self._columns()[:6], other._columns()[:6])
-        ) and np.array_equal(
-            self.eta_over_carnot[engine], other.eta_over_carnot[engine]
-        )
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+    _record = ModeCell
 
 
 def sweep(grid: SweepGrid) -> ModeMap:

@@ -1,6 +1,7 @@
 """The claim rule of ``scripts/bench_pairs.py``, on synthetic pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -135,3 +136,33 @@ def test_src_py_lines_counts_the_newlines_of_python_files_under_src(tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "c.py").write_bytes(b"\n" * 5)
     assert bench_pairs.src_py_lines(tmp_path) == 4
+
+
+def test_a_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch):
+    contract = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(contract))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda rev, target: target)
+    monkeypatch.setattr(bench_pairs, "trees", lambda rev: {})
+    monkeypatch.setattr(bench_pairs, "src_py_lines", lambda tree: 0)
+    runs = []
+
+    def run(tree, workload, seed, seconds):
+        runs.append((workload, seed, tree.name))
+        if len(runs) == 6:  # the second side of the third pair
+            raise bench_pairs.RunFailed(3, "".join(f"line {k}\n" for k in range(30)))
+        return {"correct": True, "attempted": 10, "failed": 0, "ops_per_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    workload = contract["workloads"][0]["name"]
+    argv = ["--parent", "p", "--change", "c", "--tag", "t", "--seed", "7",
+            "--workload", workload]
+    assert bench_pairs.main(argv) == 1
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    workload_record = record["workloads"][workload]
+    assert list(workload_record) == ["pairs"]
+    assert [pair["seed"] for pair in workload_record["pairs"]] == [7, 8]
+    assert record["failed_run"] == {
+        "workload": workload, "seed": 9, "side": runs[-1][2], "exit_code": 3,
+        "stderr_tail": [f"line {k}" for k in range(10, 30)],
+    }

@@ -35,6 +35,7 @@ from spin_stirling.errors import (
     ValidationError,
 )
 from spin_stirling.magnetometry import engine_curve
+from spin_stirling.phasemap import Branch, GridAnchor, SweepGrid, sweep
 
 # Reference cycle: the fitted dihydroxo-bridged Cu(II) dimer couplings at
 # ambient pressure (-32 K) and 0.84 GPa (-42 K), run between 20 K and 40 K.
@@ -485,3 +486,90 @@ class TestDeepGapModes:
         if mode is OperationMode.HEAT_ENGINE:
             assert ledger.work > floor
         assert mode is not OperationMode.FORBIDDEN
+
+
+def mode_map():
+    """A 3x3 map of heat-engine cells and cells in other modes."""
+    return sweep(
+        SweepGrid(
+            coupling_ratio_axis=(-0.5, 0.5, 1.3125),
+            temp_ratio_axis=(1.2, 2.0, 2.5),
+            anchor=GridAnchor(j_b=Coupling(-32.0), t_cold=20.0),
+            branch=Branch.B_NEGATIVE,
+        )
+    )
+
+
+def mixed_curve():
+    """A curve of one heat-engine point, then five accelerators."""
+    axis = np.linspace(5.05, 335.0, 6)
+    return engine_curve(Coupling(10.0), Coupling(-50.0), 5.0, axis)
+
+
+class TestColumnarRows:
+    """The sequence contract that mode maps and engine curves share."""
+
+    @pytest.fixture(params=[mode_map, mixed_curve], ids=["map", "curve"])
+    def rows(self, request):
+        rows = request.param()
+        modes = {record.mode for record in rows}
+        assert OperationMode.HEAT_ENGINE in modes and len(modes) > 1
+        return rows
+
+    def test_indexing_matches_iteration(self, rows):
+        records = list(rows)
+        assert len(rows) == len(records) > 1
+        assert [rows[k] for k in range(len(rows))] == records
+        # A record carries an efficiency exactly in heat-engine mode.
+        for record in records:
+            engine = record.mode is OperationMode.HEAT_ENGINE
+            assert (getattr(record, rows._eta) is not None) == engine
+        assert rows[-1] == records[-1] and rows[-len(rows)] == records[0]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    def test_slices_are_the_same_type_over_the_same_rows(self, rows):
+        for part in (slice(1, 4), slice(None, None, -2), slice(4, 1), slice(-2, None)):
+            assert type(rows[part]) is type(rows)
+            assert rows[part] == list(rows)[part]
+
+    def test_compares_as_its_record_list(self, rows):
+        assert rows == list(rows)
+        assert list(rows) == rows
+        assert rows != list(rows)[:-1]
+        assert list(rows)[:-1] != rows
+        assert rows != tuple(rows)
+        # NaN efficiencies off heat-engine rows do not count.
+        assert rows == dataclasses.replace(rows)
+        assert rows != rows[:-1]
+        first = dataclasses.fields(rows)[0].name
+        assert rows != dataclasses.replace(rows, **{first: getattr(rows, first) + 1.0})
+
+    def test_nan_energies_compare_unequal(self, rows):
+        def nan_work():
+            return dataclasses.replace(rows, work=np.full(len(rows), math.nan))
+
+        assert nan_work() != nan_work()
+        assert list(nan_work()) != list(nan_work())
+
+    def test_columns_are_read_only(self, rows):
+        names = [field.name for field in dataclasses.fields(rows)]
+        for part in (rows, rows[1:]):
+            for name in names:
+                with pytest.raises(ValueError):
+                    getattr(part, name)[0] = 1
+        # Built over a caller's arrays, it leaves them writable.
+        columns = {name: np.array(getattr(rows, name)) for name in names}
+        type(rows)(**columns)
+        for column in columns.values():
+            column[0] = column[0]
+
+    def test_replace_refuses_a_ragged_column(self, rows):
+        first = dataclasses.fields(rows)[0].name
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(rows, work=rows.work[:-1])
+        n = len(rows)
+        assert str(err.value) == (
+            f"work must be a flat column shaped like {first} ({n},), got ({n - 1},)"
+        )

@@ -232,9 +232,8 @@ class TestTable:
     )
 
     @pytest.fixture(autouse=True)
-    def four_rows_two_cpus(self, monkeypatch):
+    def four_row_blocks(self, monkeypatch):
         monkeypatch.setattr(_format, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(_format, "_cpus", lambda: 2)
 
     @staticmethod
     def numbered(start, stop):

@@ -1,6 +1,7 @@
 """Tests for susceptibility ingestion, Bleaney-Bowers fitting, and the
 pressure-axis helpers built on top of the fit."""
 
+import dataclasses
 import io
 import json
 import math
@@ -57,15 +58,6 @@ def reference_curve_csv(points):
         fields += [b"%.17g" % point.eta_carnot, point.mode.token.encode()]
         lines.append(b",".join(fields))
     return b"\n".join(lines) + b"\n"
-
-
-def rebuilt(curve, eta_carnot=None, **cycles):
-    """``curve`` built again from its columns, with some of them replaced."""
-    return EngineCurve(
-        curve.t_hot,
-        curve.cycles._replace(**cycles),
-        curve.eta_carnot if eta_carnot is None else eta_carnot,
-    )
 
 
 def synthetic_csv(j, g, temps=None, header="T_K,chi_emu_mol", extra_lines=()):
@@ -543,15 +535,15 @@ class TestEngineCurve:
         # The points that once wrote "" and "nan" are no curve: a heat
         # engine without an efficiency, a refrigerator with one.
         with pytest.raises(ValidationError, match="heat-engine points require"):
-            rebuilt(engine, eta=np.array([math.nan]))
+            dataclasses.replace(engine, eta=np.array([math.nan]))
         with pytest.raises(ValidationError, match="absent for mode 'refrigerator'"):
-            rebuilt(fridge, eta=engine.cycles.eta)
+            dataclasses.replace(fridge, eta=engine.eta)
 
     @pytest.mark.parametrize(
         "changes, message",
         [
             (
-                lambda c: {"work": c.cycles.work[:-1]},
+                lambda c: {"work": c.work[:-1]},
                 "work must be a flat column shaped like t_hot (6,), got (5,)",
             ),
             (
@@ -573,7 +565,7 @@ class TestEngineCurve:
                 "got 1.0 at point 0",
             ),
             (
-                lambda c: {"eta": np.where(np.arange(6) == 2, 0.5, c.cycles.eta)},
+                lambda c: {"eta": np.where(np.arange(6) == 2, 0.5, c.eta)},
                 "eta must be absent for mode 'accelerator', got 0.5 at point 2",
             ),
         ],
@@ -583,7 +575,7 @@ class TestEngineCurve:
     def test_columns_that_are_no_curve_are_refused(self, changes, message):
         curve = self.mixed_curve()
         with pytest.raises(ValidationError) as err:
-            rebuilt(curve, **changes(curve))
+            dataclasses.replace(curve, **changes(curve))
         assert str(err.value) == message
 
     # Small-mix's curve requests: couplings in +-200 K, a cold bath of
@@ -607,20 +599,19 @@ class TestEngineCurve:
         curve = engine_curve(j_a, j_b, t_cold, axis)
         expected = reference_curve_csv(list(curve))
         for block_rows in (1, 7, _format._BLOCK_ROWS):
-            for cpus in (1, 2):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(_format, "_BLOCK_ROWS", block_rows)
-                    patch.setattr(_format, "_cpus", lambda: cpus)
-                    assert engine_curve_csv(curve) == expected
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
+                assert engine_curve_csv(curve) == expected
         per_point = np.array([1.0 - t_cold / t for t in axis])
         assert np.array_equal(curve.eta_carnot.view(np.int64), per_point.view(np.int64))
 
     def test_block_pairs_write_the_serial_bytes(self, monkeypatch):
         axis = np.linspace(21.0, 400.0, 3 * _format._BLOCK_ROWS + 5).tolist()
         curve = engine_curve(Coupling(-42.0), Coupling(-32.0), 20.0, axis)
-        monkeypatch.setattr(_format, "_cpus", lambda: 1)
-        serial = engine_curve_csv(curve)
-        monkeypatch.setattr(_format, "_cpus", lambda: 2)
+        # A block longer than the curve holds it all: the serial bytes.
+        with monkeypatch.context() as patch:
+            patch.setattr(_format, "_BLOCK_ROWS", len(curve) + 1)
+            serial = engine_curve_csv(curve)
         assert engine_curve_csv(curve) == serial
 
     @staticmethod
@@ -631,41 +622,21 @@ class TestEngineCurve:
         assert isinstance(curve, EngineCurve)
         return curve
 
-    def test_curve_is_a_sequence_of_points(self):
+    def test_indexing_builds_no_curve(self, monkeypatch):
         curve = self.mixed_curve()
         points = list(curve)
-        assert len(curve) == len(points) == 6
-        assert [point.mode for point in points] == [
-            OperationMode.HEAT_ENGINE, *[OperationMode.ACCELERATOR] * 5
-        ]
-        assert curve[0] == points[0] and curve[0].eta is not None
-        assert curve[-1] == points[-1] and curve[-6] == points[0]
-        for index in (6, -7):
-            with pytest.raises(IndexError):
-                curve[index]
-        for part in (slice(1, 4), slice(None, None, -2), slice(4, 1), slice(-2, None)):
-            assert curve[part] == points[part]
-            assert isinstance(curve[part], EngineCurve)
+        built = []
+        post_init = EngineCurve.__post_init__
 
-    def test_curve_compares_as_its_point_list(self):
-        curve = self.mixed_curve()
-        assert curve == list(curve)
-        assert list(curve) == curve
-        assert curve == self.mixed_curve()
-        assert curve != list(curve)[:-1]
-        assert list(curve)[:-1] != curve
-        assert curve != tuple(curve)
+        def counted(self):
+            post_init(self)
+            built.append(len(self))
 
-    def test_columns_are_read_only(self):
-        curve = self.mixed_curve()
-        columns = [curve.t_hot, *curve.cycles, curve.eta_carnot]
-        for column in columns + [curve[1:].t_hot, *curve[1:].cycles]:
-            with pytest.raises(ValueError):
-                column[0] = 1.0
-        # A curve over a caller's arrays leaves them writable.
-        t_hot = np.array(curve.t_hot)
-        EngineCurve(t_hot, curve.cycles, curve.eta_carnot)
-        t_hot[0] = 1.0
+        monkeypatch.setattr(EngineCurve, "__post_init__", counted)
+        assert (curve[2], curve[-1]) == (points[2], points[-1])
+        assert built == []
+        assert curve[1:] == points[1:]
+        assert built == [5]
 
     def test_curve_writes_the_bytes_of_its_points(self):
         curve = self.mixed_curve()

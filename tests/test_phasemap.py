@@ -766,12 +766,10 @@ class TestExportBytes:
         assert len(cells) % 7 != 0
         expected = export(cells, format=fmt)
         monkeypatch.setattr(_format, "_BLOCK_ROWS", block_rows)
-        for cpus in (1, 2):
-            monkeypatch.setattr(_format, "_cpus", lambda: cpus)
-            assert export(cells, format=fmt) == expected
-            target = tmp_path / f"map.{fmt}"
-            export_to_path(cells, str(target), format=fmt)
-            assert target.read_bytes() == expected
+        assert export(cells, format=fmt) == expected
+        target = tmp_path / f"map.{fmt}"
+        export_to_path(cells, str(target), format=fmt)
+        assert target.read_bytes() == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=100, deadline=None)
@@ -780,11 +778,9 @@ class TestExportBytes:
         cells = data.draw(mode_maps(json_only=fmt == "json"))
         expected = REFERENCE_EXPORTS[fmt](cells)
         for block_rows in (1, 7, _format._BLOCK_ROWS):
-            for cpus in (1, 2):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(_format, "_BLOCK_ROWS", block_rows)
-                    patch.setattr(_format, "_cpus", lambda: cpus)
-                    assert export(cells, format=fmt) == expected
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_format, "_BLOCK_ROWS", block_rows)
+                assert export(cells, format=fmt) == expected
         assert_same_columns(read_cells(expected, format=fmt), cells)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -799,10 +795,11 @@ class TestExportBytes:
             return both(first, second)
 
         monkeypatch.setattr(_format, "_both", counted)
-        monkeypatch.setattr(_format, "_cpus", lambda: 1)
-        serial = export(cells, format=fmt)
+        # A block longer than the map holds it all: the serial bytes.
+        with monkeypatch.context() as patch:
+            patch.setattr(_format, "_BLOCK_ROWS", len(cells) + 1)
+            serial = export(cells, format=fmt)
         assert pairs == []
-        monkeypatch.setattr(_format, "_cpus", lambda: 2)
         assert export(cells, format=fmt) == serial
         assert len(pairs) == 2
 
@@ -823,7 +820,6 @@ class TestExportBytes:
             return texts(values, nan)
 
         monkeypatch.setattr(_format, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(_format, "_cpus", lambda: 2)
         monkeypatch.setattr(phasemap, "_texts", texts_failing_off_the_caller)
         baseline = threading.active_count()
         for write in (
@@ -847,7 +843,6 @@ class TestExportBytes:
         # 512-row blocks built in pairs: 2,500 cells make two pairs and a
         # lone block, 14,400 cells make 14 pairs and a lone block.
         monkeypatch.setattr(_format, "_BLOCK_ROWS", 512)
-        monkeypatch.setattr(_format, "_cpus", lambda: 2)
 
         def peak_bytes(resolution):
             cells = sweep(SweepGrid.default(resolution=resolution))
@@ -865,40 +860,6 @@ class TestModeMap:
     @pytest.fixture()
     def cells(self):
         return sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.5]))
-
-    def test_indexing_matches_iteration(self, cells):
-        listed = list(cells)
-        assert len(listed) == len(cells) == 9
-        assert [cells[k] for k in range(len(cells))] == listed
-        assert cells[-1] == listed[-1]
-        with pytest.raises(IndexError):
-            cells[len(cells)]
-
-    def test_slices_are_maps_over_the_same_cells(self, cells):
-        part = cells[3:11:2]
-        assert isinstance(part, ModeMap)
-        assert list(part) == list(cells)[3:11:2]
-
-    def test_columns_are_read_only(self, cells):
-        with pytest.raises(ValueError):
-            cells.work[0] = 1.0
-
-    def test_map_compares_as_its_cell_list(self, cells):
-        assert cells == list(cells)
-        assert list(cells) == cells
-        assert cells != list(cells)[:-1]
-        assert list(cells)[:-1] != cells
-        assert cells != tuple(cells)
-
-    def test_equality_follows_the_cells(self, cells):
-        grid = small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.5])
-        assert sweep(grid) == cells
-        assert cells != sweep(small_grid([-0.5, 0.5, 1.3125], [1.2, 2.0, 2.6]))
-        assert cells != cells[:-1]
-        # Flagged cells carry NaN energies, and NaN != NaN, as for cells.
-        flagged = sweep(edge_grid())
-        assert flagged != sweep(edge_grid())
-        assert list(flagged) != list(sweep(edge_grid()))
 
     def test_rejects_eta_outside_engine_cells(self, cells):
         columns = {

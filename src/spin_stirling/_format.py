@@ -9,14 +9,17 @@ through Python would cost most of a mode-map export, so
 :func:`_text_17g` produces the same bytes for a whole array at once, as
 a NUL-padded byte matrix, and hands Python only the values it cannot
 certify.  :func:`_table` writes every exported table, the mode maps and
-the engine curve, from such matrices: a block of rows at a time, as one
-byte matrix with the layout's literals in fixed columns.  A table of
-several blocks builds them two at a time, the second of each pair on a
-helper thread, and writes them in order, so the bytes are the same as
-one thread's.  Reading inverts both: :func:`_scan` finds a table's
-fields and checks every literal byte around them, :func:`_fields`
-gathers the fields into such a matrix, and :func:`_parse_17g` reads
-export numbers back into the doubles that ``float()`` gives.
+the engine curve, from the table's columns, so no writer spells a field:
+floats as ``%.17g`` with a literal for NaN, mode codes as their tokens,
+and gathers of texts formatted once (:func:`_deduped`).  It lays out a
+block of rows at a time, as one byte matrix with the layout's literals
+in fixed columns.  A table of several blocks builds them two at a time,
+the second of each pair on a helper thread, and writes them in order, so
+the bytes are the same as one thread's.  Reading inverts both:
+:func:`_scan` finds a table's fields and checks every literal byte
+around them, :func:`_fields` gathers the fields into such a matrix, and
+:func:`_parse_17g` reads export numbers back into the doubles that
+``float()`` gives.
 """
 
 from __future__ import annotations
@@ -295,15 +298,6 @@ def _padded(texts: list[bytes]) -> np.ndarray:
     return np.array(texts, f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
 
 
-def _texts(values: np.ndarray, nan: np.ndarray) -> np.ndarray:
-    """:func:`_text_17g` of ``values``, with the padded row ``nan`` for NaN
-    (formatted as 1.0 first, so that it never takes Python's path)."""
-    missing = np.isnan(values)
-    text = _text_17g(np.where(missing, 1.0, values))
-    text[missing] = nan
-    return text
-
-
 #: Rows per block of :func:`_table`, and of the records a mode map or an
 #: engine curve builds at once.  A table holds two blocks at once, one per thread, so its
 #: memory is bounded by two blocks' matrices and temporaries.  With
@@ -364,30 +358,61 @@ def _csv_layout(columns: Sequence[str], tokens: Iterable[str]) -> _Layout:
     )
 
 
-def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
-    """Yield the bytes of a table of ``rows`` rows, _BLOCK_ROWS at a time.
+def _deduped(layout: _Layout, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float column as a :func:`_table` gather: the texts of its distinct
+    values, told apart by bit pattern so that ``-0.0`` and ``0.0`` keep
+    their own, with NaN written as ``layout.nan``, and each row's index
+    into them."""
+    keys, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = _text_17g(keys.view(np.float64))
+    texts[np.isnan(keys.view(np.float64))] = _padded([layout.nan])
+    return texts, index
 
-    ``fields(start, stop)`` gives the fields of rows ``start:stop``, one
-    NUL-padded (stop - start, _TEXT_WIDTH) uint8 matrix per ``%s`` of
-    ``layout.row``.  A block is one uint8 matrix with a row per table
-    row: the row pieces and the separator sit in fixed columns, with a
-    _TEXT_WIDTH-byte slot for each field.  The last row's separator is
+
+def _table(layout: _Layout, columns: Sequence, absent: int | None = None) -> Iterator[bytes]:
+    """Yield the bytes of a table, _BLOCK_ROWS rows at a time.
+
+    ``columns`` holds one column per ``%s`` of ``layout.row``, all of the
+    table's length: a float64 array, written as ``%.17g`` with NaN as
+    ``layout.nan``, or as ``layout.absent`` in the column numbered
+    ``absent``; an int8 array of mode codes, written as
+    ``layout.tokens``; or a gather ``(texts, index)`` from
+    :func:`_deduped`, whose row k is ``texts[index[k]]``.  An array of
+    any other dtype raises TypeError.
+
+    A block is one uint8 matrix with a row per table row: the row pieces
+    and the separator sit in fixed columns, with a _TEXT_WIDTH-byte slot
+    for each field.  One :func:`_text_17g` call per block formats the
+    non-NaN values of every float column, over a matrix pre-filled with
+    each column's NaN literal.  The last row's separator is
     zeroed, so the tail follows it, and dropping the NUL bytes turns the
     matrix into the block's text in one step.
 
     With more than one block, blocks are built in pairs: a helper
     thread builds the second block of each pair while this thread builds
     the first (numpy releases the interpreter lock for most of the
-    work), so ``fields`` runs on two threads at once.  No helper is left
-    running between the blocks this yields.
+    work).  No helper is left running between the blocks this yields.
     """
     *pieces, last = layout.row.split(b"%s")
     template = bytearray()
-    slots = []
-    for piece in pieces:
+    tokens = _padded(layout.tokens)
+    nan, missing = _padded([layout.nan, layout.absent])
+    floats, literals, gathers = [], [], []
+    for k, (piece, column) in enumerate(zip(pieces, columns, strict=True)):
         template += piece
-        slots.append(slice(len(template), len(template) + _TEXT_WIDTH))
+        slot = slice(len(template), len(template) + _TEXT_WIDTH)
         template += bytes(_TEXT_WIDTH)
+        if isinstance(column, tuple):  # texts and each row's index into them
+            gathers.append((slot, *column))
+        elif column.dtype == np.int8:
+            gathers.append((slot, tokens, column))
+        elif column.dtype == np.float64:
+            floats.append((slot, column))
+            literals.append(missing if k == absent else nan)
+        else:
+            raise TypeError(f"column {k} is {column.dtype}, not float64 or int8")
+    rows = len(gathers[0][2] if gathers else floats[0][1])
+    literals = np.stack(literals)
     end = len(template) + len(last)
     template += last + layout.separator
     paired = rows > _BLOCK_ROWS
@@ -396,9 +421,18 @@ def _table(layout: _Layout, rows: int, fields: Callable) -> Iterator[bytes]:
 
     def block(matrix: np.ndarray, start: int) -> bytes:
         stop = min(start + _BLOCK_ROWS, rows)
-        matrix = matrix[: stop - start]
-        for slot, text in zip(slots, fields(start, stop), strict=True):
-            matrix[:, slot] = text
+        n = stop - start
+        matrix = matrix[:n]
+        for slot, texts, index in gathers:
+            matrix[:, slot] = texts[index[start:stop]]
+        values = np.concatenate([column[start:stop] for _, column in floats])
+        present = ~np.isnan(values)
+        texts = np.repeat(literals, n, axis=0)  # each float column's NaN literal
+        # Scattered as one item per text: several times faster than as bytes.
+        item = f"V{_TEXT_WIDTH}"
+        texts.view(item)[present] = _text_17g(values[present]).view(item)
+        for k, (slot, _) in enumerate(floats):
+            matrix[:, slot] = texts[k * n : (k + 1) * n]
         if stop == rows:
             matrix[-1, end:] = 0
         text = matrix.ravel()

@@ -36,7 +36,6 @@ from .constants import (
 )
 from .core import Coupling
 from .cycle import (
-    _ENGINE,
     _MODES,
     CycleSpec,
     OperationMode,
@@ -44,7 +43,7 @@ from .cycle import (
     _Columnar,
     _evaluate_cycles,
 )
-from ._format import _csv_layout, _padded, _table, _texts, decoding
+from ._format import _csv_layout, _table, decoding
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
@@ -627,9 +626,10 @@ def engine_curve_csv(curve: EngineCurve) -> bytes:
     """Serialize an :class:`EngineCurve` with energies converted to eV.
 
     Columns: T_h_K, Q_AB_eV, Q_BC_eV, Q_CD_eV, Q_DA_eV, W_eV, eta,
-    eta_carnot, mode.  Floats are written from the curve's columns as
-    ``%.17g`` by :func:`spin_stirling._format._table`.  The eta field is
-    empty exactly on the points outside heat-engine operation.  Anything
+    eta_carnot, mode.  :func:`spin_stirling._format._table` writes the
+    curve's columns, the energies scaled to eV, with floats as ``%.17g``
+    and the eta field empty where eta is NaN, which the curve's check
+    makes exactly the points outside heat-engine operation.  Anything
     but a non-empty curve, a plain list of :class:`EngineCurvePoint`
     included, raises :class:`ValidationError`.
     """
@@ -639,21 +639,8 @@ def engine_curve_csv(curve: EngineCurve) -> bytes:
         )
     if not len(curve):
         raise ValidationError("engine_curve_csv requires a non-empty curve")
-    values = np.column_stack(
-        (
-            curve.t_hot, curve.q_ab, curve.q_bc, curve.q_cd, curve.q_da,
-            curve.work, curve.eta, curve.eta_carnot,
-        )
-    )
-    values[:, 1:6] *= KB_EV_PER_K
-    nan, absent = _padded([_CURVE.nan, _CURVE.absent])
-    tokens = _padded(_CURVE.tokens)
-
-    def fields(start: int, stop: int) -> list[np.ndarray]:
-        codes = curve.code[start:stop]
-        texts = _texts(values[start:stop].ravel(), nan)
-        texts = texts.reshape(stop - start, values.shape[1], -1)
-        texts[codes != _ENGINE, 6] = absent
-        return [*texts.swapaxes(0, 1), tokens[codes]]
-
-    return b"".join(_table(_CURVE, len(values), fields))
+    energies = (curve.q_ab, curve.q_bc, curve.q_cd, curve.q_da, curve.work)
+    return b"".join(_table(_CURVE, [
+        curve.t_hot, *(energy * KB_EV_PER_K for energy in energies),
+        curve.eta, curve.eta_carnot, curve.code,
+    ], absent=6))

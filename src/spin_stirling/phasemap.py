@@ -26,16 +26,17 @@ to accelerators.  Sweeps are serial and deterministic.
 
 A sweep returns a :class:`ModeMap`, which holds the cells as numpy
 columns and builds :class:`ModeCell` objects only when a caller indexes
-or iterates it.  Exports write those columns through the package's one
-table writer (:func:`spin_stirling._format._table`), with each value's
-text from a vectorized ``%.17g`` that writes the same bytes as
-Python's.  A JSON export refuses the values JSON cannot hold, and a JSON
-read refuses them too.  :func:`read_cells` reads either format back as
-columns through ``_format``'s inverse of that writer, and reads nothing
-else; this module adds the mode-map rules: the literals each column may
-hold, the mode tokens, and the layout's ``absent`` efficiency exactly
-off heat-engine rows.  Bytes that are not export text raise
-:class:`ValidationError`, naming the first bad row and its line.
+or iterates it.  Exports hand those columns to the package's one table
+writer (:func:`spin_stirling._format._table`), which spells every
+field, each value's text from a vectorized ``%.17g`` that writes the
+same bytes as Python's.  A JSON export refuses the values JSON cannot
+hold, and a JSON read refuses them too.  :func:`read_cells` reads
+either format back as columns through ``_format``'s inverse of that
+writer, and reads nothing else; this module adds the mode-map rules:
+the literals each column may hold, the mode tokens, and the layout's
+``absent`` efficiency exactly off heat-engine rows.  Bytes that are
+not export text raise :class:`ValidationError`, naming the first bad
+row and its line.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import numpy as np
 from . import _kernels
 from .core import Coupling
 from .cycle import _ENGINE, _FORBIDDEN, _MODES, OperationMode, _Columnar, _evaluate
-from ._format import _Layout, _csv_layout, _fields, _padded
-from ._format import _parse_17g, _scan, _table, _texts, decode, write
+from ._format import _Layout, _csv_layout, _deduped, _fields, _padded
+from ._format import _parse_17g, _scan, _table, decode, write
 from .errors import ValidationError
 
 __all__ = [
@@ -374,44 +375,18 @@ def _as_map(cells: ModeMap, format: str) -> ModeMap:
 
 
 def _text_blocks(cells: ModeMap, format: str) -> Iterator[bytes]:
-    """The export bytes of ``cells``, a block of rows at a time, from
-    :func:`spin_stirling._format._table`.
-
-    Every float is written as Python's ``%.17g`` would write it (17
-    significant digits, exact under roundtrip); NaN is written as the
-    layout's ``nan`` and an absent efficiency as its ``absent``.  The
-    ratio columns hold few distinct values, so each is deduped once per
-    export, keyed on bit patterns so that ``-0.0`` and ``0.0`` stay
-    apart, and its texts are gathered per block; the energies are
-    formatted directly, and the efficiency on engine cells only.
+    """The export bytes of ``cells``, a block of rows at a time: the map's
+    columns, handed to :func:`spin_stirling._format._table`.  Each ratio
+    column holds few distinct values, so it is deduped once per export
+    (:func:`spin_stirling._format._deduped`).  The efficiency is written
+    as the layout's ``absent`` where it is NaN: by the map's construction
+    check, exactly on the cells outside heat-engine mode.
     """
     layout = _LAYOUTS[format]
-    nan, absent = _padded([layout.nan, layout.absent])
-    tokens = _padded(layout.tokens)
-    ratios = []
-    for column in (cells.coupling_ratio, cells.temp_ratio):
-        keys, index = np.unique(column.view(np.int64), return_inverse=True)
-        ratios.append((_texts(keys.view(np.float64), nan), index))
-
-    def fields(start: int, stop: int) -> list[np.ndarray]:
-        rows = stop - start
-        codes = cells.mode_code[start:stop]
-        engine = codes == _ENGINE
-        # One formatting call per block, energies then efficiencies: a
-        # call costs a fixed 0.2 ms or so on top of its values.
-        values = [c[start:stop] for c in (cells.work, cells.q_in, cells.q_out)]
-        values.append(cells.eta_over_carnot[start:stop][engine])
-        texts = _texts(np.concatenate(values), nan)
-        eta = np.tile(absent, (rows, 1))
-        eta[engine] = texts[3 * rows :]
-        return [
-            *(ratio_texts[index[start:stop]] for ratio_texts, index in ratios),
-            tokens[codes],
-            *(texts[k * rows : (k + 1) * rows] for k in range(3)),
-            eta,
-        ]
-
-    return _table(layout, len(cells), fields)
+    ratios = [_deduped(layout, r) for r in (cells.coupling_ratio, cells.temp_ratio)]
+    return _table(layout, [
+        *ratios, cells.mode_code, cells.work, cells.q_in, cells.q_out, cells.eta_over_carnot,
+    ], absent=6)
 
 
 def export(cells: ModeMap, format: str = "csv") -> bytes:

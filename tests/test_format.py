@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_stirling import _format
-from spin_stirling._format import _Layout, _padded, _parse_17g, _table, _text_17g
+from spin_stirling._format import (
+    _Layout, _csv_layout, _deduped, _padded, _parse_17g, _table, _text_17g,
+)
 
 
 def reference_17g(values):
@@ -224,7 +226,7 @@ class TestParse17g:
 
 
 class TestTable:
-    """The block pairs of :func:`_table`, on a one-field layout."""
+    """The columns and block pairs of :func:`_table`."""
 
     LINES = _Layout(
         head=b"[", row=b"%s", separator=b"\n", tail=b"]", nan=b"", absent=b"",
@@ -235,37 +237,65 @@ class TestTable:
     def four_row_blocks(self, monkeypatch):
         monkeypatch.setattr(_format, "_BLOCK_ROWS", 4)
 
-    @staticmethod
-    def numbered(start, stop):
-        return [_padded([b"%d" % k for k in range(start, stop)])]
-
     @pytest.mark.parametrize("rows", [1, 4, 5, 8, 9, 13])
     def test_pairs_write_the_rows_in_order(self, rows):
-        text = b"".join(_table(self.LINES, rows, self.numbered))
+        text = b"".join(_table(self.LINES, [np.arange(float(rows))]))
         assert text == b"[" + b"\n".join(b"%d" % k for k in range(rows)) + b"]"
 
-    def test_an_error_in_the_callers_block_waits_for_the_helper(self):
+    def test_an_error_in_the_callers_block_waits_for_the_helper(self, monkeypatch):
         class BlockError(Exception):
             pass
 
         built = []
+        text_17g = _format._text_17g
 
-        def fields(start, stop):
-            if start == 0:
+        def failing_on_the_first_block(values):
+            if values[0] == 0.0:
                 raise BlockError("first block")
             time.sleep(0.05)
-            built.append(start)
-            return self.numbered(start, stop)
+            built.append(int(values[0]))
+            return text_17g(values)
 
+        monkeypatch.setattr(_format, "_text_17g", failing_on_the_first_block)
         baseline = threading.active_count()
         with pytest.raises(BlockError, match="^first block$"):
-            b"".join(_table(self.LINES, 8, fields))
+            b"".join(_table(self.LINES, [np.arange(8.0)]))
         assert built == [4]
         assert threading.active_count() == baseline
 
     def test_no_helper_outlives_a_yielded_block(self):
         baseline = threading.active_count()
-        chunks = _table(self.LINES, 16, self.numbered)
-        assert [next(chunks) for _ in range(3)] == [b"[", b"0\n1\n2\n3\n", b"4\n5\n6\n7\n"]
+        chunks = _table(self.LINES, [np.arange(16.0)])
+        blocks = [b"[", b"0\n1\n2\n3\n", b"4\n5\n6\n7\n"]
+        assert [next(chunks) for _ in range(3)] == blocks
         assert threading.active_count() == baseline
         chunks.close()
+
+    JSON = _Layout(
+        head=b"[\n", row=b'{"x": %s, "eta": %s, "mode": %s, "r": %s}', separator=b",\n",
+        tail=b"\n]\n", nan=b"null", absent=b"null", tokens=[b'"engine"', b'"fridge"'],
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_row_holds_every_column_kind(self, fmt):
+        csv = _csv_layout(["x", "eta", "mode", "r"], ["engine", "fridge"])
+        layout = csv if fmt == "csv" else self.JSON
+        nan = np.nan
+        text = b"".join(_table(layout, [
+            np.array([1.5, nan, -2.0]),
+            np.array([0.25, nan, 0.5]),
+            np.array([0, 1, 0], np.int8),
+            _deduped(layout, np.array([0.0, -0.0, nan])),
+        ], absent=1))
+        # Row 2 holds a NaN in a plain column and in an absent-on-NaN one.
+        assert text == {
+            "csv": b"x,eta,mode,r\n1.5,0.25,engine,0\n"
+            b"nan,,fridge,-0\n-2,0.5,engine,nan\n",
+            "json": b'[\n{"x": 1.5, "eta": 0.25, "mode": "engine", "r": 0},\n'
+            b'{"x": null, "eta": null, "mode": "fridge", "r": -0},\n'
+            b'{"x": -2, "eta": 0.5, "mode": "engine", "r": null}\n]\n',
+        }[fmt]
+
+    def test_a_column_of_another_dtype_is_refused(self):
+        with pytest.raises(TypeError, match="^column 0 is int64, not float64 or int8$"):
+            b"".join(_table(self.LINES, [np.arange(3)]))

@@ -812,15 +812,15 @@ class TestExportBytes:
 
         cells = sweep(edge_grid())
         caller = threading.get_ident()
-        texts = phasemap._texts
+        text_17g = _format._text_17g
 
-        def texts_failing_off_the_caller(values, nan):
+        def text_failing_off_the_caller(values):
             if threading.get_ident() != caller:
                 raise BlockError("no text on the helper thread")
-            return texts(values, nan)
+            return text_17g(values)
 
         monkeypatch.setattr(_format, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(phasemap, "_texts", texts_failing_off_the_caller)
+        monkeypatch.setattr(_format, "_text_17g", text_failing_off_the_caller)
         baseline = threading.active_count()
         for write in (
             lambda: export(cells, format=fmt),
